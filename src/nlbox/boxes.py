@@ -80,6 +80,8 @@ class Box:
     @classmethod
     def from_json(cls, text: str) -> "Box":
         data = json.loads(text)
+        if not isinstance(data, dict) or "p" not in data:
+            raise MalformedBoxError('expected a JSON object with key "p"')
         return cls(data["p"])
 
     def to_csv(self) -> str:

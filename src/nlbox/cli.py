@@ -205,12 +205,22 @@ def cmd_table2(args) -> int:
     return 0 if ok and all(w is not None for w in witnesses.values()) else CHECK_FAILURE
 
 
-def _angle_label(spec: Optional[str], fixed_beta: Optional[float]) -> str:
+def _angle_label(spec: Optional[str]) -> str:
     if spec is None:
         return "free"
     if spec == "half_pi":
         return "pi/2"
     return "2*beta"
+
+
+def _witness(scen: quantum.QuantumScenario, with_gamma: bool = False) -> dict:
+    """Angles of a quantum witness, as printed by max and table3."""
+    w = {"beta": scen.state.beta}
+    if with_gamma:
+        w["gamma"] = scen.state.gamma
+    w.update(theta_x0=scen.a0.theta, theta_x1=scen.a1.theta,
+             theta_y0=scen.b0.theta, theta_y1=scen.b1.theta)
+    return w
 
 
 def cmd_table3(args) -> int:
@@ -225,15 +235,11 @@ def cmd_table3(args) -> int:
         rows.append({
             "case": cid,
             "inputs": list(lr.case_inputs(cid)),
-            "theta_x0": _angle_label(geom.theta_x0, geom.beta),
-            "theta_y0": _angle_label(geom.theta_y0, geom.beta),
+            "theta_x0": _angle_label(geom.theta_x0),
+            "theta_y0": _angle_label(geom.theta_y0),
             "beta": beta_label,
             "max": result.value,
-            "witness": {
-                "beta": scen.state.beta,
-                "theta_x0": scen.a0.theta, "theta_x1": scen.a1.theta,
-                "theta_y0": scen.b0.theta, "theta_y1": scen.b1.theta,
-            },
+            "witness": _witness(scen),
         })
         w = rows[-1]["witness"]
         lines.append(
@@ -258,6 +264,8 @@ def cmd_max(args) -> int:
             "model": "ic", "value": res.value,
             "witness": res.point.tolist(),
             "constraint_slacks": list(res.constraint_slacks),
+            "converged": res.converged,
+            "upper_bound": res.upper_bound,
         }
     elif args.model == "qm":
         res, scen, _ = quantum.max_cabello_qm(
@@ -265,21 +273,12 @@ def cmd_max(args) -> int:
         )
         payload = {
             "model": "qm", "case": args.case, "value": res.value,
-            "witness": {
-                "beta": scen.state.beta, "gamma": scen.state.gamma,
-                "theta_x0": scen.a0.theta, "theta_x1": scen.a1.theta,
-                "theta_y0": scen.b0.theta, "theta_y1": scen.b1.theta,
-            },
+            "witness": _witness(scen, with_gamma=True),
         }
     else:  # qm-hardy
         res, scen = quantum.max_hardy_qm(restarts=args.restarts, seed=args.seed)
         payload = {
-            "model": "qm-hardy", "value": res.value,
-            "witness": {
-                "beta": scen.state.beta,
-                "theta_x0": scen.a0.theta, "theta_x1": scen.a1.theta,
-                "theta_y0": scen.b0.theta, "theta_y1": scen.b1.theta,
-            },
+            "model": "qm-hardy", "value": res.value, "witness": _witness(scen),
         }
     _emit(args, json.dumps(payload))
     return 0

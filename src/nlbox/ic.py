@@ -14,7 +14,9 @@ import numpy as np
 
 from .boxes import Box, DEFAULT_TOL, require_valid
 from .cabello import check_coefficients, success_closed_form
-from .search import SearchConfig, SearchDomain, SearchResult, maximize
+# maximize is bound only so that perfbench/tracing.py can patch
+# nlbox.ic.maximize
+from .search import DomainError, SearchResult, maximize
 
 
 @dataclass(frozen=True)
@@ -120,20 +122,26 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
     return (q.r - q.s) ** 2 + (q.u - q.v) ** 2, (q.u - q.s) ** 2 + (q.r - q.v) ** 2
 
 
-def _lhs1_raw(c: np.ndarray) -> float:
-    r = c[7] - c[1]
-    s = c[0] + c[2] + c[5] - c[6]
-    u = c[8] - c[3]
-    v = c[4] + c[5] + c[9]
-    return (r - s) ** 2 + (u - v) ** 2
+# q4 - q1 = _SUCCESS @ c, and the IC conditions are |M @ c| <= 1 for the maps
+# M: c -> (r - s, u - v) and c -> (u - s, r - v), read off rsuv at the
+# simplex vertices.  Both maps vanish at c11 = 1.
+_SUCCESS = np.array([success_closed_form(e) for e in np.eye(11)])
+_RSUV = np.array([[q.r, q.s, q.u, q.v] for q in map(rsuv, np.eye(11))]).T
+_BIAS_FORMS = (_RSUV[[0, 2]] - _RSUV[[1, 3]], _RSUV[[2, 0]] - _RSUV[[1, 3]])
+_C11 = np.eye(11)[10]
+_GAP_TOL = 1e-9
 
 
-def _lhs2_raw(c: np.ndarray) -> float:
-    r = c[7] - c[1]
-    s = c[0] + c[2] + c[5] - c[6]
-    u = c[8] - c[3]
-    v = c[4] + c[5] + c[9]
-    return (u - s) ** 2 + (r - v) ** 2
+def _pull_into_discs(y: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """The point of the segment from c11 = 1 to y farthest from c11 = 1 that
+    meets both IC conditions, with its two slacks."""
+    t = 1.0 / max(1.0, *(np.linalg.norm(m @ y) for m in _BIAS_FORMS))
+    while True:  # rounding can leave a slack at -1e-16
+        x = _C11 + t * (y - _C11)
+        slacks = tuple(1.0 - lhs for lhs in ic_cabello_lhs(x))
+        if min(slacks) >= 0.0:
+            return x, slacks
+        t *= 1.0 - 1e-15
 
 
 def max_success_under_ic(
@@ -142,21 +150,52 @@ def max_success_under_ic(
     equalities=None,
     constrained: bool = True,
 ) -> SearchResult:
-    """Maximize q4 - q1 over the 11-simplex under both IC quadratics.
+    """Maximize q4 - q1 over the 11-simplex, under the optional affine
+    ``equalities`` (A, b) and, if ``constrained``, both IC quadratics.
 
-    The constrained optimum is (sqrt(2)-1)/2 ~ 0.2071 on the boundary of
-    both conditions; dropping them recovers the no-signaling value 0.5.
+    Kelley cutting planes on HiGHS LPs: each LP gives ``upper_bound``; its
+    point y, pulled toward c11 = 1 until both conditions hold, is a feasible
+    point, and the best one is returned; each violated condition |M c| <= 1
+    adds the cut (M y / |M y|) . M c <= 1.  ``converged`` means a gap
+    ``upper_bound - value`` of at most 1e-9.  The optimum is (sqrt(2)-1)/2
+    ~ 0.2071 on the boundary of both conditions, and 0.5 unconstrained.
+    DomainError is raised when no nonnegative point satisfies the
+    equalities, or when under IC they exclude c11 = 1 (no local-randomness
+    system does).  ``restarts`` and ``seed`` have no effect; they are
+    accepted so that existing callers keep working.
     """
-    domain = SearchDomain(
-        simplex_dim=11,
-        equalities=equalities,
-        inequalities=(_lhs1_raw, _lhs2_raw) if constrained else (),
-    )
-    return maximize(
-        success_closed_form,
-        domain,
-        SearchConfig(restarts=restarts, seed=seed),
-    )
+    from scipy.optimize import linprog
+
+    a_eq, b_eq = np.ones((1, 11)), np.ones(1)
+    if equalities is not None:
+        a_eq, b_eq = np.vstack([a_eq, equalities[0]]), np.append(b_eq, equalities[1])
+    if constrained and np.abs(a_eq @ _C11 - b_eq).max() > 1e-12:
+        raise DomainError("under the IC conditions the equalities must hold at c11 = 1")
+    cuts: list[np.ndarray] = []
+    best = None  # (value, point, slacks) of the best feasible point so far
+    for _ in range(100):  # every local-randomness system takes 2 LPs
+        lp = linprog(-_SUCCESS, A_ub=np.array(cuts) if cuts else None,
+                     b_ub=np.ones(len(cuts)) if cuts else None,
+                     A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        if lp.status == 2:
+            raise DomainError("no nonnegative point satisfies the equalities")
+        if lp.status != 0:
+            raise RuntimeError(f"HiGHS failed: {lp.message}")
+        y, upper = lp.x, -lp.fun
+        x, slacks = _pull_into_discs(y) if constrained else (y, ())
+        value = success_closed_form(x)
+        if best is None or value > best[0]:
+            best = (value, x, slacks)
+        if upper - best[0] <= _GAP_TOL:
+            break
+        for m in _BIAS_FORMS:
+            norm = np.linalg.norm(m @ y)
+            if norm > 1.0:
+                cuts.append(m @ y / norm @ m)
+    value, x, slacks = best
+    return SearchResult(value=value, point=x, starts_used=1,
+                        converged=upper - value <= _GAP_TOL,
+                        constraint_slacks=slacks, upper_bound=upper)
 
 
 def _entropy2(p: np.ndarray) -> float:

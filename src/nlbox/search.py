@@ -1,17 +1,17 @@
-"""Deterministic multistart derivative-free maximization.
+"""Deterministic multistart derivative-free maximization over a box, and
+nonnegative sampling of affine sections of a probability simplex.
 
-Domains are products of a probability simplex (optionally cut by affine
-equalities) and box-constrained coordinates, with optional scalar
-inequality constraints g(x) <= 1.  Local refinement is a compass-style
-pattern search augmented with seeded random poll directions and a
-bisection backtrack along infeasible moves, so active constraint
-boundaries can be tracked.  Randomness comes from numpy's PCG64 stream
-seeded through SeedSequence, so results are bit-reproducible.
+Domains are box-constrained coordinates with optional scalar inequality
+constraints g(x) <= 1.  Local refinement is a compass-style pattern search
+augmented with seeded random poll directions and a bisection backtrack
+along infeasible moves, so active constraint boundaries can be tracked.
+Randomness comes from numpy's PCG64 stream seeded through SeedSequence, so
+results are bit-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,13 +29,10 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchDomain:
-    """Simplex block (first) concatenated with box-bounded coordinates."""
+    """Box-bounded coordinates."""
 
-    simplex_dim: int = 0
     bounds: tuple[tuple[float, float], ...] = ()
-    # affine equalities A @ c = b over the simplex block (sum-to-1 implied)
-    equalities: Optional[tuple[np.ndarray, np.ndarray]] = None
-    # scalar constraints on the full point, feasible iff g(x) <= 1
+    # scalar constraints on the point, feasible iff g(x) <= 1
     inequalities: tuple[Callable[[np.ndarray], float], ...] = ()
 
 
@@ -55,6 +52,8 @@ class SearchResult:
     starts_used: int
     converged: bool
     constraint_slacks: tuple[float, ...]
+    # certified upper bound on the maximum, from solvers that have one
+    upper_bound: Optional[float] = None
 
 
 def _rref(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -143,32 +142,20 @@ def _restart_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k))))
 
 
-def _slsqp_polish(objective, z0, smap, lo, hi, inequalities, feasible):
-    """Deterministic SLSQP refinement in the reduced coordinates."""
+def _slsqp_polish(objective, z0, lo, hi, inequalities, feasible):
+    """Deterministic SLSQP refinement inside the box."""
     from scipy.optimize import minimize
 
-    n_sf = smap.n_free if smap else 0
-
-    def full_of(z):
-        parts = []
-        if smap:
-            parts.append(np.clip(smap.full(z[:n_sf]), 0.0, None))
-        if len(lo):
-            parts.append(np.clip(z[n_sf:], lo, hi))
-        return np.concatenate(parts) if parts else np.empty(0)
-
-    cons = []
-    if smap:
-        cons.append({"type": "ineq", "fun": lambda z: smap.full(z[:n_sf])})
-    for g in inequalities:
-        cons.append({"type": "ineq", "fun": lambda z, g=g: 1.0 - g(full_of(z))})
-    bounds = [(0.0, 1.0)] * n_sf + [(l, h) for l, h in zip(lo, hi)]
+    cons = [
+        {"type": "ineq", "fun": lambda z, g=g: 1.0 - g(np.clip(z, lo, hi))}
+        for g in inequalities
+    ]
     try:
         res = minimize(
-            lambda z: -objective(full_of(z)),
+            lambda z: -objective(np.clip(z, lo, hi)),
             z0,
             method="SLSQP",
-            bounds=bounds,
+            bounds=list(zip(lo, hi)),
             constraints=cons,
             options={"maxiter": 200, "ftol": 1e-12},
         )
@@ -186,64 +173,37 @@ def maximize(
 ) -> SearchResult:
     """Multistart pattern-search maximization; deterministic for fixed config."""
     cfg = config or SearchConfig()
-    smap = _SimplexMap(domain.simplex_dim, domain.equalities) if domain.simplex_dim else None
     lo = np.array([b[0] for b in domain.bounds])
     hi = np.array([b[1] for b in domain.bounds])
-    if len(lo) and not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise DomainError("bounds must be finite")
-    n_free = (smap.n_free if smap else 0) + len(lo)
-    ranges = np.concatenate(
-        [np.ones(smap.n_free if smap else 0), hi - lo]
-    )
-
-    def full_point(z: np.ndarray) -> Optional[np.ndarray]:
-        """Reduced vector -> full point, or None if outside the domain."""
-        parts = []
-        if smap:
-            x = smap.full(z[: smap.n_free])
-            if x.min() < -_FEAS_TOL:
-                return None
-            parts.append(np.clip(x, 0.0, None))
-        if len(lo):
-            zb = z[smap.n_free if smap else 0:]
-            if np.any(zb < lo - _FEAS_TOL) or np.any(zb > hi + _FEAS_TOL):
-                return None
-            parts.append(np.clip(zb, lo, hi))
-        return np.concatenate(parts) if parts else np.empty(0)
+    dim = len(lo)
+    ranges = hi - lo
 
     def feasible(z: np.ndarray) -> Optional[np.ndarray]:
-        x = full_point(z)
-        if x is None:
+        """Point inside the box meeting every inequality, or None."""
+        if np.any(z < lo - _FEAS_TOL) or np.any(z > hi + _FEAS_TOL):
             return None
+        x = np.clip(z, lo, hi)
         for g in domain.inequalities:
             if g(x) > 1.0 + 1e-9:
                 return None
         return x
 
-    n_sf = smap.n_free if smap else 0
-
     def backtrack(z: np.ndarray, cand: np.ndarray):
         """Largest feasible fraction of the move z -> cand.
 
-        Nonnegativity and box bounds are linear along the move, so their
-        cutoff is exact; only the inequality constraints need bisection.
+        Box bounds are linear along the move, so their cutoff is exact;
+        only the inequality constraints need bisection.
         """
         m = cand - z
         t = 1.0
-        if smap:
-            x0 = smap.full(z[:n_sf])
-            dx = smap.full(cand[:n_sf]) - x0
-            neg = dx < -1e-15
-            if neg.any():
-                t = min(t, float(np.min(x0[neg] / -dx[neg])))
-        if len(lo):
-            zb, mb = z[n_sf:], m[n_sf:]
-            up = mb > 1e-15
-            dn = mb < -1e-15
-            if up.any():
-                t = min(t, float(np.min((hi[up] - zb[up]) / mb[up])))
-            if dn.any():
-                t = min(t, float(np.min((lo[dn] - zb[dn]) / mb[dn])))
+        up = m > 1e-15
+        dn = m < -1e-15
+        if up.any():
+            t = min(t, float(np.min((hi[up] - z[up]) / m[up])))
+        if dn.any():
+            t = min(t, float(np.min((lo[dn] - z[dn]) / m[dn])))
         if t <= 1e-12:
             return None
         trial = z + t * m
@@ -262,21 +222,11 @@ def maximize(
                 t_hi = tm
         return best
 
-    n_red = (smap.n_free if smap else 0) + len(lo)
-    n_simplex = smap.n_free if smap else 0
     fixed_dirs = []
-    for i in range(n_red):
-        e = np.zeros(n_red)
+    for i in range(dim):
+        e = np.zeros(dim)
         e[i] = 1.0
         fixed_dirs.extend((e, -e))
-    # mass transfers between free simplex coordinates track simplex edges
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n_simplex):
-        for j in range(n_simplex):
-            if i != j:
-                d = np.zeros(n_red)
-                d[i], d[j] = inv_sqrt2, -inv_sqrt2
-                fixed_dirs.append(d)
 
     def refine(z0, rng, budget, initial_step):
         """Pattern search from z0; returns (z, value, converged)."""
@@ -284,11 +234,11 @@ def maximize(
         fz = objective(feasible(z))
         evals = 1
         step = initial_step
-        while step > cfg.tol and evals < budget and n_red > 0:
+        while step > cfg.tol and evals < budget and dim > 0:
             improved = False
             dirs = list(fixed_dirs)
             for _ in range(6):
-                d = rng.standard_normal(n_red)
+                d = rng.standard_normal(dim)
                 norm = np.linalg.norm(d)
                 if norm > 0:
                     dirs.append(d / norm)
@@ -309,7 +259,7 @@ def maximize(
                     break
             if not improved:
                 step *= 0.5
-        return z, fz, step <= cfg.tol or n_red == 0
+        return z, fz, step <= cfg.tol or dim == 0
 
     budget_per_start = max(1, cfg.max_evals // max(1, cfg.restarts))
     best_val = -np.inf
@@ -323,16 +273,7 @@ def maximize(
         # feasible start point
         z0 = None
         for _ in range(200):
-            parts = []
-            if smap:
-                try:
-                    xs = smap.sample(rng)
-                except SamplingError:
-                    continue
-                parts.append(xs[smap.free])
-            if len(lo):
-                parts.append(lo + rng.uniform(size=len(lo)) * (hi - lo))
-            cand = np.concatenate(parts) if parts else np.empty(0)
+            cand = lo + rng.uniform(size=dim) * ranges
             if feasible(cand) is not None:
                 z0 = cand
                 break
@@ -353,11 +294,11 @@ def maximize(
     if best_x is None:
         raise SamplingError("no feasible start point found in any restart")
 
-    if n_red > 0:
+    if dim > 0:
         # polish the incumbent: SLSQP handles the curved constraint boundary
         # far better than pattern steps, then a fine-stepped search confirms
         polished = _slsqp_polish(
-            objective, best_z, smap, lo, hi, domain.inequalities, feasible
+            objective, best_z, lo, hi, domain.inequalities, feasible
         )
         if polished is not None:
             z, fz = polished

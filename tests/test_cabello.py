@@ -1,4 +1,7 @@
 """Hardy/Cabello box families, closed-form matrix and NS maximum."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from nlbox.cabello import (
     ns_max_success,
     success_closed_form,
 )
-from nlbox.search import SearchConfig, SearchDomain, maximize
+from nlbox.ic import max_success_under_ic
 
 
 def coeffs(**kv):
@@ -157,12 +160,34 @@ class TestNsMax:
         rows = np.zeros((2, 11))
         rows[0, 5] = 1.0
         rows[1, 10] = 1.0
-        result = maximize(
-            success_closed_form,
-            SearchDomain(simplex_dim=11, equalities=(rows, np.zeros(2))),
-            SearchConfig(restarts=8, seed=0, max_evals=16000),
+        result = max_success_under_ic(
+            equalities=(rows, np.zeros(2)), constrained=False
         )
-        assert abs(result.value) <= 1e-9
+        assert abs(result.value) <= 1e-12
+        assert result.converged and result.upper_bound - result.value <= 1e-9
+
+    def test_linear_objective_vertex_max_matches_lp(self):
+        # the vertex maximum and an LP over the same simplex agree
+        for argument, dim in (("hardy", 6), ("cabello", 11)):
+            rows = np.eye(11)[dim:]
+            lp = max_success_under_ic(
+                equalities=(rows, np.zeros(len(rows))) if len(rows) else None,
+                constrained=False,
+            )
+            value, witness = ns_max_success(argument)
+            assert value == 0.5
+            np.testing.assert_array_equal(witness, np.eye(dim)[5])
+            assert abs(lp.value - value) <= 1e-12
+            assert abs(lp.upper_bound - value) <= 1e-12
+
+    def test_does_not_import_scipy_optimize(self):
+        code = (
+            "import sys, nlbox; nlbox.ns_max_success('hardy'); "
+            "nlbox.ns_max_success('cabello'); print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_argument(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from nlbox.boxes import Box, pr_box
 
@@ -51,6 +52,20 @@ class TestValidate:
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
         assert not report["valid"] and report["violations"]
+
+
+    @pytest.mark.parametrize("text", ['{"q": 1}', "[1, 2]"])
+    def test_malformed_json_is_usage_error(self, text):
+        proc = run_cli("validate", "-", stdin=text)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+    def test_coefficient_file_without_c_is_usage_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        proc = run_cli("cabello", "--coeffs", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
 class TestCoefficientCommands:
@@ -100,6 +115,15 @@ class TestMax:
         payload = json.loads(run_cli("max", "--model", "ns").stdout)
         assert payload["value"] == 0.5
         assert payload["witness"][5] == 1.0
+
+    def test_ic_bound_with_certificate(self):
+        proc = run_cli("max", "--model", "ic")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert abs(payload["value"] - (math.sqrt(2) - 1) / 2) <= 1e-9
+        assert payload["converged"] is True
+        assert payload["upper_bound"] - payload["value"] <= 1e-9
+        assert min(payload["constraint_slacks"]) >= 0.0
 
     def test_case_without_qm_is_usage_error(self):
         assert run_cli("max", "--model", "ns", "--case", "3").returncode == 2

@@ -1,5 +1,6 @@
 """Information Causality conditions, coefficient quadratics and the RAC."""
 import numpy as np
+import pytest
 
 from nlbox import boxes
 from nlbox.cabello import cabello_box
@@ -13,7 +14,8 @@ from nlbox.ic import (
     rac_simulate,
     rsuv,
 )
-from nlbox.localrandom import lr_constraints
+from nlbox.localrandom import lr_cases, lr_constraints
+from nlbox.search import DomainError
 from nlbox.quantum import quantum_box, tsirelson_scenario
 
 
@@ -94,6 +96,18 @@ class TestCoefficientLevel:
             assert abs(lhs2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
 
 
+IC_BOUND = (np.sqrt(2) - 1) / 2
+
+
+def assert_certified(result, bound=IC_BOUND):
+    assert abs(result.value - bound) <= 1e-9
+    assert result.upper_bound - result.value <= 1e-9
+    assert result.converged
+    assert all(s >= 0.0 for s in result.constraint_slacks)
+    assert result.point.min() >= 0.0
+    assert abs(result.point.sum() - 1.0) <= 1e-12
+
+
 class TestMaxUnderIC:
     def test_unconstrained_recovers_ns_bound(self):
         result = max_success_under_ic(restarts=8, constrained=False)
@@ -108,6 +122,57 @@ class TestMaxUnderIC:
         system = lr_constraints(9)
         result = max_success_under_ic(restarts=8, equalities=(system.a, system.b))
         assert result.value <= (np.sqrt(2) - 1) / 2 + 1e-6
+
+    def test_quadratic_inequalities_on_simplex(self):
+        # q4 - q1 under the two coefficient-level quadratic conditions
+        result = max_success_under_ic()
+        assert_certified(result)
+        assert len(result.constraint_slacks) == 2
+        lhs = ic_cabello_lhs(result.point)
+        assert result.constraint_slacks == (1.0 - lhs[0], 1.0 - lhs[1])
+        # the optimum sits on both constraint boundaries
+        assert max(result.constraint_slacks) <= 1e-9
+
+    def test_result_on_simplex(self):
+        for kwargs in ({}, {"constrained": False}):
+            result = max_success_under_ic(**kwargs)
+            assert result.point.shape == (11,)
+            assert result.point.min() >= 0.0
+            assert abs(result.point.sum() - 1.0) <= 1e-12
+            assert result.starts_used == 1
+
+    def test_same_result_for_any_restarts_and_seed(self):
+        ref = max_success_under_ic()
+        for restarts, seed in ((1, 0), (8, 5), (64, 123)):
+            result = max_success_under_ic(restarts=restarts, seed=seed)
+            assert result.value == ref.value
+            np.testing.assert_array_equal(result.point, ref.point)
+
+    def test_every_case_reaches_the_bound(self):
+        # case 1 is where a single SLSQP run from the barycentre stops at 0.1413
+        for cid in lr_cases():
+            system = lr_constraints(cid)
+            result = max_success_under_ic(equalities=(system.a, system.b))
+            assert_certified(result)
+            assert np.abs(system.a @ result.point - system.b).max() <= 1e-12
+
+    def test_inconsistent_equalities_raise(self):
+        a = np.zeros((2, 11))
+        a[:, 0] = 1.0
+        b = np.array([1.0, 0.0])
+        for constrained in (True, False):
+            with pytest.raises(DomainError):
+                max_success_under_ic(equalities=(a, b), constrained=constrained)
+
+    def test_equalities_excluding_c11_raise_under_ic(self):
+        # c11 = 0 leaves feasible points, but not the point c11 = 1 that the
+        # solver pulls toward
+        a = np.eye(11)[10:]
+        with pytest.raises(DomainError):
+            max_success_under_ic(equalities=(a, np.zeros(1)))
+        assert max_success_under_ic(
+            equalities=(a, np.zeros(1)), constrained=False
+        ).converged
 
 
 class TestMutualInformation:

@@ -1,4 +1,4 @@
-"""Deterministic multistart maximizer and constrained simplex sampling."""
+"""Deterministic multistart box-domain maximizer and constrained simplex sampling."""
 import numpy as np
 import pytest
 
@@ -6,20 +6,9 @@ from nlbox.search import (
     DomainError,
     SearchConfig,
     SearchDomain,
-    SearchResult,
     maximize,
     sample_affine_simplex,
 )
-
-
-def test_linear_objective_on_simplex():
-    result = maximize(
-        lambda c: 0.5 * c[5],
-        SearchDomain(simplex_dim=6),
-        SearchConfig(restarts=8, seed=0, max_evals=16000),
-    )
-    assert abs(result.value - 0.5) <= 1e-6
-    assert result.point[5] >= 1.0 - 1e-6
 
 
 def test_calibration_quadratic_on_interval():
@@ -30,20 +19,6 @@ def test_calibration_quadratic_on_interval():
     )
     assert abs(result.value) <= 1e-12
     assert abs(result.point[0] - 0.3) <= 1e-6
-
-
-def test_quadratic_inequalities_on_simplex():
-    # q4 - q1 under the two coefficient-level quadratic conditions
-    from nlbox.cabello import success_closed_form
-    from nlbox.ic import _lhs1_raw, _lhs2_raw
-
-    result = maximize(
-        success_closed_form,
-        SearchDomain(simplex_dim=11, inequalities=(_lhs1_raw, _lhs2_raw)),
-        SearchConfig(restarts=16, seed=0, max_evals=50000),
-    )
-    assert abs(result.value - (np.sqrt(2) - 1) / 2) <= 1e-3
-    assert all(s >= -1e-6 for s in result.constraint_slacks)
 
 
 def test_determinism():
@@ -62,25 +37,6 @@ def test_monotonic_in_restarts():
     v_few = maximize(objective, domain, SearchConfig(restarts=2, seed=5)).value
     v_more = maximize(objective, domain, SearchConfig(restarts=4, seed=5)).value
     assert v_more >= v_few - 1e-12
-
-
-def test_result_within_domain():
-    result = maximize(
-        lambda c: c[0] - c[1],
-        SearchDomain(simplex_dim=4),
-        SearchConfig(restarts=4, seed=0, max_evals=4000),
-    )
-    assert isinstance(result, SearchResult)
-    assert result.point.min() >= -1e-9
-    assert abs(result.point.sum() - 1.0) <= 1e-9
-    assert result.starts_used == 4
-
-
-def test_inconsistent_equalities_raise():
-    a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    b = np.array([1.0, 0.0])
-    with pytest.raises(DomainError):
-        maximize(lambda c: c[0], SearchDomain(simplex_dim=3, equalities=(a, b)))
 
 
 class TestSampleAffineSimplex:
