@@ -274,11 +274,13 @@ def cmd_max(args) -> int:
         payload = {
             "model": "qm", "case": args.case, "value": res.value,
             "witness": _witness(scen, with_gamma=True),
+            "converged": res.converged,
         }
     else:  # qm-hardy
         res, scen = quantum.max_hardy_qm(restarts=args.restarts, seed=args.seed)
         payload = {
             "model": "qm-hardy", "value": res.value, "witness": _witness(scen),
+            "converged": res.converged,
         }
     _emit(args, json.dumps(payload))
     return 0

@@ -173,7 +173,7 @@ def max_success_under_ic(
         raise DomainError("under the IC conditions the equalities must hold at c11 = 1")
     cuts: list[np.ndarray] = []
     best = None  # (value, point, slacks) of the best feasible point so far
-    for _ in range(100):  # every local-randomness system takes 2 LPs
+    for lps in range(1, 101):  # every local-randomness system takes 2 LPs
         lp = linprog(-_SUCCESS, A_ub=np.array(cuts) if cuts else None,
                      b_ub=np.ones(len(cuts)) if cuts else None,
                      A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
@@ -195,7 +195,8 @@ def max_success_under_ic(
     value, x, slacks = best
     return SearchResult(value=value, point=x, starts_used=1,
                         converged=upper - value <= _GAP_TOL,
-                        constraint_slacks=slacks, upper_bound=upper)
+                        constraint_slacks=slacks, upper_bound=upper,
+                        method="cutting-plane", evaluations=lps)
 
 
 def _entropy2(p: np.ndarray) -> float:

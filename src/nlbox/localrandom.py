@@ -21,7 +21,7 @@ import numpy as np
 from .boxes import Box, DEFAULT_TOL, marginal
 from .cabello import cabello_box, check_coefficients
 from .ic import ic_cabello_lhs
-from .search import SamplingError, _SimplexMap, _restart_rng
+from .search import SamplingError, _SimplexMap
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
 
@@ -180,7 +180,7 @@ def feasibility_witness(
     """
     system = lr_constraints(case_id)
     smap = _SimplexMap(11, (system.a, system.b))
-    rng = _restart_rng(seed, case_id)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, case_id))))
     for _ in range(budget):
         try:
             c = smap.sample(rng, budget=1000)

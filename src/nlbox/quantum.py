@@ -17,7 +17,7 @@ import numpy as np
 
 from .boxes import Box
 from .localrandom import case_inputs
-from .search import SearchConfig, SearchDomain, SearchResult, maximize
+from .search import SearchDomain, SearchResult, maximize
 
 HALF_PI = math.pi / 2
 
@@ -74,11 +74,6 @@ def density_matrix(state: PureState) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def reduced_density(state: PureState) -> np.ndarray:
-    """Either party's reduced state: (I + cos(2 beta) Z) / 2."""
-    return 0.5 * (_I2 + math.cos(2 * state.beta) * _SZ)
-
-
 def projector(direction: MeasurementDirection, outcome: int) -> np.ndarray:
     """Eigenprojector of n.sigma; outcome 0 is the + eigenstate."""
     sign = 1.0 if outcome == 0 else -1.0
@@ -93,17 +88,46 @@ def joint_probability(scen: QuantumScenario, a: int, b: int, x: int, y: int) -> 
     return float(np.real(np.trace(rho @ op)))
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
+def quantum_tables(beta, gamma, theta, phi) -> np.ndarray:
+    """Tables P(ab|XY) of many scenarios at once, in the Bloch form
+
+        P(ab|xy) = (1 + a m_x.r + b n_y.r + a b m_x.T n_y) / 4
+
+    with outcome signs a, b = +-1.  For cos(beta)|00> + e^{i gamma}
+    sin(beta)|11> both Bloch vectors are r = cos(2 beta) z, and T has rows
+    (s cos gamma, s sin gamma, 0), (s sin gamma, -s cos gamma, 0), (0, 0, 1)
+    with s = sin(2 beta).  ``beta`` and ``gamma`` have shape S, ``theta``
+    and ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the result has
+    shape S + (4, 4), rows and columns ordered as in Box.
+    """
+    beta = np.asarray(beta, dtype=float)[..., None]
+    gamma = np.asarray(gamma, dtype=float)[..., None]
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    nx = np.sin(theta) * np.cos(phi)
+    ny = np.sin(theta) * np.sin(phi)
+    nz = np.cos(theta)
+    local = np.cos(2 * beta) * nz
+    s_cos = np.sin(2 * beta) * np.cos(gamma)
+    s_sin = np.sin(2 * beta) * np.sin(gamma)
+    tx = s_cos * nx[..., 2:] + s_sin * ny[..., 2:]
+    ty = s_sin * nx[..., 2:] - s_cos * ny[..., 2:]
+    corr = (nx[..., :2, None] * tx[..., None, :] + ny[..., :2, None] * ty[..., None, :]
+            + nz[..., :2, None] * nz[..., None, 2:])
+    sa, sb = _SIGNS[:, None], _SIGNS[None, :]
+    p = 0.25 * (1.0 + local[..., :2, None, None, None] * sa
+                + local[..., None, 2:, None, None] * sb
+                + corr[..., None, None] * (sa * sb))
+    return p.reshape(p.shape[:-4] + (4, 4))
+
+
 def quantum_box(scen: QuantumScenario) -> Box:
-    rho = density_matrix(scen.state)
-    p = np.empty((4, 4))
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    op = np.kron(projector(scen.direction("A", x), a),
-                                 projector(scen.direction("B", y), b))
-                    p[2 * x + y, 2 * a + b] = np.real(np.trace(rho @ op))
-    return Box(p)
+    dirs = (scen.a0, scen.a1, scen.b0, scen.b1)
+    return Box(quantum_tables(scen.state.beta, scen.state.gamma,
+                              [d.theta for d in dirs], [d.phi for d in dirs]))
 
 
 def marginal_bias(state: PureState, direction: MeasurementDirection) -> float:
@@ -112,23 +136,26 @@ def marginal_bias(state: PureState, direction: MeasurementDirection) -> float:
     return 0.5 * (1.0 + math.cos(2 * state.beta) * math.cos(direction.theta))
 
 
-def _check_open(beta: float, *thetas: float) -> None:
-    if not 0.0 < beta < HALF_PI:
-        raise DegenerateConstraintError(f"beta={beta} outside (0, pi/2)")
-    for th in thetas:
-        if not 0.0 < th < math.pi:
-            raise DegenerateConstraintError(f"theta={th} outside (0, pi)")
+def _check_open(beta, *thetas) -> None:
+    """Raise unless every beta lies in (0, pi/2) and every theta in (0, pi)."""
+    for name, value, top, label in (("beta", beta, HALF_PI, "pi/2"),
+                                    *(("theta", th, math.pi, "pi") for th in thetas)):
+        inside = (0.0 < value) & (value < top)
+        if not np.all(inside):
+            bad = np.asarray(value)[np.logical_not(inside)][0]
+            raise DegenerateConstraintError(f"{name}={bad} outside (0, {label})")
 
 
 def solve_cabello_constraints(
     state: PureState, theta_x0: float, theta_y0: float
 ) -> tuple[float, float]:
     """Primed angles zeroing q2 and q3 under the canonical phases:
-    tan(theta_x1/2) = tan(beta) cot(theta_y0/2) and symmetrically."""
+    tan(theta_x1/2) = tan(beta) cot(theta_y0/2) and symmetrically.
+    Elementwise when the state's beta and the angles are arrays."""
     _check_open(state.beta, theta_x0, theta_y0)
-    tb = math.tan(state.beta)
-    theta_x1 = 2.0 * math.atan(tb / math.tan(theta_y0 / 2))
-    theta_y1 = 2.0 * math.atan(tb / math.tan(theta_x0 / 2))
+    tb = np.tan(state.beta)
+    theta_x1 = 2.0 * np.arctan(tb / np.tan(theta_y0 / 2))
+    theta_y1 = 2.0 * np.arctan(tb / np.tan(theta_x0 / 2))
     return theta_x1, theta_y1
 
 
@@ -151,21 +178,26 @@ def canonical_scenario(
     )
 
 
-def q4_minus_q1_closed_form(beta: float, theta_x0: float, theta_y0: float) -> float:
-    """Success probability of the completed canonical scenario."""
+def _q4(beta, theta_x0, theta_y0):
+    """q4 of the completed canonical scenario, elementwise."""
+    tb = np.tan(beta)
+    tx = np.tan(theta_x0 / 2)
+    ty = np.tan(theta_y0 / 2)
+    return np.sin(beta) ** 2 * (tb - tx * ty) ** 2 / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
+
+
+def q4_minus_q1_closed_form(beta, theta_x0, theta_y0):
+    """Success probability of the completed canonical scenario.
+
+    Elementwise on arrays; a float when every argument is a scalar.
+    """
     _check_open(beta, theta_x0, theta_y0)
-    tb = math.tan(beta)
-    tx = math.tan(theta_x0 / 2)
-    ty = math.tan(theta_y0 / 2)
-    q4 = (
-        math.sin(beta) ** 2 * (tb - tx * ty) ** 2
-        / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
-    )
     q1 = (
-        math.cos(beta) * math.cos(theta_x0 / 2) * math.cos(theta_y0 / 2)
-        - math.sin(beta) * math.sin(theta_x0 / 2) * math.sin(theta_y0 / 2)
+        np.cos(beta) * np.cos(theta_x0 / 2) * np.cos(theta_y0 / 2)
+        - np.sin(beta) * np.sin(theta_x0 / 2) * np.sin(theta_y0 / 2)
     ) ** 2
-    return q4 - q1
+    success = _q4(beta, theta_x0, theta_y0) - q1
+    return float(success) if np.ndim(success) == 0 else success
 
 
 def tsirelson_scenario() -> QuantumScenario:
@@ -197,7 +229,9 @@ class CaseGeometry:
             names.append("theta_y0")
         return tuple(names)
 
-    def params(self, z: np.ndarray) -> tuple[float, float, float]:
+    def params(self, z: np.ndarray) -> tuple:
+        """(beta, theta_x0, theta_y0) from the free values z, one row per
+        free name; rows may be arrays of points."""
         vals = dict(zip(self.free_names, z))
         beta = self.beta if self.beta is not None else vals["beta"]
         def angle(spec, name):
@@ -247,23 +281,29 @@ _THETA_BOUNDS = (ANGLE_MARGIN, math.pi - ANGLE_MARGIN)
 def max_cabello_qm(
     case_id: Optional[int] = None, restarts: int = 64, seed: int = 0
 ) -> tuple[SearchResult, QuantumScenario, CaseGeometry]:
-    """Maximum q4 - q1 over the free angles of the (possibly constrained) case."""
+    """Maximum q4 - q1 over the free angles of the (possibly constrained) case.
+
+    Grid-then-zoom over at most 3 angles (``search.maximize``); a case with
+    no free angle is evaluated once.  ``restarts`` and ``seed`` have no
+    effect; they are accepted so that existing callers keep working.
+    """
     geom = case_geometry(case_id)
     bounds = tuple(
         _BETA_BOUNDS if name == "beta" else _THETA_BOUNDS
         for name in geom.free_names
     )
 
-    def objective(z: np.ndarray) -> float:
-        return q4_minus_q1_closed_form(*geom.params(z))
+    def objective(z: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
 
-    result = maximize(
-        objective,
-        SearchDomain(bounds=bounds),
-        SearchConfig(restarts=restarts, seed=seed),
-    )
+    result = maximize(objective, SearchDomain(bounds=bounds))
     beta, tx0, ty0 = geom.params(result.point)
     return result, canonical_scenario(beta, tx0, ty0), geom
+
+
+def _hardy_theta_y0(beta, theta_x0):
+    """theta_y0 zeroing q1: tan(theta_x0/2) tan(theta_y0/2) = cot(beta)."""
+    return 2.0 * np.arctan(1.0 / (np.tan(beta) * np.tan(theta_x0 / 2)))
 
 
 def max_hardy_qm(restarts: int = 64, seed: int = 0) -> tuple[SearchResult, QuantumScenario]:
@@ -271,27 +311,14 @@ def max_hardy_qm(restarts: int = 64, seed: int = 0) -> tuple[SearchResult, Quant
 
     q1 vanishes when tan(theta_x0/2) tan(theta_y0/2) = cot(beta), which
     fixes theta_y0 from (beta, theta_x0); the remaining objective is the
-    q4 term of the closed form.
+    q4 term of the closed form, maximized by grid-then-zoom over
+    (beta, theta_x0).  ``restarts`` and ``seed`` have no effect.
     """
 
-    def ty0_of(beta: float, tx0: float) -> float:
-        return 2.0 * math.atan(1.0 / (math.tan(beta) * math.tan(tx0 / 2)))
-
-    def objective(z: np.ndarray) -> float:
+    def objective(z: np.ndarray) -> np.ndarray:
         beta, tx0 = z
-        ty0 = ty0_of(beta, tx0)
-        tb = math.tan(beta)
-        tx = math.tan(tx0 / 2)
-        ty = math.tan(ty0 / 2)
-        return (
-            math.sin(beta) ** 2 * (tb - tx * ty) ** 2
-            / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
-        )
+        return _q4(beta, tx0, _hardy_theta_y0(beta, tx0))
 
-    result = maximize(
-        objective,
-        SearchDomain(bounds=(_BETA_BOUNDS, _THETA_BOUNDS)),
-        SearchConfig(restarts=restarts, seed=seed),
-    )
+    result = maximize(objective, SearchDomain(bounds=(_BETA_BOUNDS, _THETA_BOUNDS)))
     beta, tx0 = result.point
-    return result, canonical_scenario(beta, tx0, ty0_of(beta, tx0))
+    return result, canonical_scenario(beta, tx0, _hardy_theta_y0(beta, tx0))

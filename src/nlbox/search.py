@@ -1,12 +1,13 @@
-"""Deterministic multistart derivative-free maximization over a box, and
-nonnegative sampling of affine sections of a probability simplex.
+"""Deterministic grid-then-zoom maximization over a box, and nonnegative
+sampling of affine sections of a probability simplex.
 
-Domains are box-constrained coordinates with optional scalar inequality
-constraints g(x) <= 1.  Local refinement is a compass-style pattern search
-augmented with seeded random poll directions and a bisection backtrack
-along infeasible moves, so active constraint boundaries can be tracked.
-Randomness comes from numpy's PCG64 stream seeded through SeedSequence, so
-results are bit-reproducible.
+``maximize`` evaluates a vectorised objective on one regular grid of the
+box, then re-grids a window of two cells either side of the best point
+found, halving the cell width each round, until every cell is narrower
+than the tolerance.  It draws no random numbers and has no restarts, so a
+fixed objective, domain and config give the same result bit for bit.
+The simplex sampler draws from numpy's PCG64 stream seeded through
+SeedSequence, so its points are bit-reproducible per seed.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import numpy as np
 
 _RREF_TOL = 1e-10
 _FEAS_TOL = 1e-12
+# points per axis of each zoom window, which spans 4 cells of the grid before
+_ZOOM_POINTS = 9
 
 
 class DomainError(ValueError):
@@ -32,17 +35,17 @@ class SearchDomain:
     """Box-bounded coordinates."""
 
     bounds: tuple[tuple[float, float], ...] = ()
-    # scalar constraints on the point, feasible iff g(x) <= 1
+    # No nlbox code sets this.  It is kept only because perfbench/tracing.py
+    # rewraps it through dataclasses.replace; maximize rejects a non-empty one.
     inequalities: tuple[Callable[[np.ndarray], float], ...] = ()
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    restarts: int = 64
-    seed: int = 0
-    tol: float = 1e-10
-    max_evals: int = 200000
-    initial_step: float = 0.1
+    # points per axis of the first grid, which must resolve every basin
+    grid: int = 33
+    # the zoom stops once every cell is narrower than this
+    tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,13 @@ class SearchResult:
     constraint_slacks: tuple[float, ...]
     # certified upper bound on the maximum, from solvers that have one
     upper_bound: Optional[float] = None
+    # how the optimum was found: the method, its objective evaluations (LPs
+    # for cutting planes) and, for grid+zoom, the first grid's points per
+    # axis and the final cell width
+    method: str = ""
+    evaluations: int = 0
+    grid: Optional[int] = None
+    cell_width: Optional[float] = None
 
 
 def _rref(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -138,182 +148,74 @@ def sample_affine_simplex(
     return _SimplexMap(dim, equalities).sample(rng, budget)
 
 
-def _restart_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k))))
-
-
-def _slsqp_polish(objective, z0, lo, hi, inequalities, feasible):
-    """Deterministic SLSQP refinement inside the box."""
-    from scipy.optimize import minimize
-
-    cons = [
-        {"type": "ineq", "fun": lambda z, g=g: 1.0 - g(np.clip(z, lo, hi))}
-        for g in inequalities
-    ]
-    try:
-        res = minimize(
-            lambda z: -objective(np.clip(z, lo, hi)),
-            z0,
-            method="SLSQP",
-            bounds=list(zip(lo, hi)),
-            constraints=cons,
-            options={"maxiter": 200, "ftol": 1e-12},
-        )
-    except Exception:
-        return None
-    if not np.all(np.isfinite(res.x)) or feasible(res.x) is None:
-        return None
-    return res.x, float(objective(feasible(res.x)))
+def _unit_grid(dim: int, n: int) -> np.ndarray:
+    """The n-per-axis regular grid of the unit cube as a (dim, n**dim) array."""
+    if dim == 0:
+        return np.zeros((0, 1))
+    return np.indices((n,) * dim, dtype=float).reshape(dim, -1) / (n - 1)
 
 
 def maximize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     domain: SearchDomain,
     config: SearchConfig | None = None,
 ) -> SearchResult:
-    """Multistart pattern-search maximization; deterministic for fixed config."""
+    """Grid-then-zoom maximization of a vectorised objective over a box.
+
+    ``objective`` maps a (d, N) array of points to N values.  It is
+    evaluated on the regular grid of ``config.grid`` points per axis, then
+    on 9 points per axis across two cells either side of the incumbent,
+    which halves the cell width, until the widest cell is below
+    ``config.tol``.  A maximum whose basin falls between first-grid points
+    can be missed, so the grid must resolve the objective.  A domain with
+    no coordinates is evaluated once, at the empty point.
+    """
     cfg = config or SearchConfig()
-    lo = np.array([b[0] for b in domain.bounds])
-    hi = np.array([b[1] for b in domain.bounds])
+    if domain.inequalities:
+        raise DomainError("maximize takes box bounds only, not inequalities")
+    lo = np.array([b[0] for b in domain.bounds], dtype=float)
+    hi = np.array([b[1] for b in domain.bounds], dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise DomainError("bounds must be finite")
-    dim = len(lo)
-    ranges = hi - lo
+    if np.any(lo > hi):
+        raise DomainError("a lower bound exceeds its upper bound")
+    if cfg.grid < 2 or not cfg.tol > 0:
+        raise DomainError("the grid needs at least 2 points per axis and tol > 0")
+    evaluations = 0
 
-    def feasible(z: np.ndarray) -> Optional[np.ndarray]:
-        """Point inside the box meeting every inequality, or None."""
-        if np.any(z < lo - _FEAS_TOL) or np.any(z > hi + _FEAS_TOL):
-            return None
-        x = np.clip(z, lo, hi)
-        for g in domain.inequalities:
-            if g(x) > 1.0 + 1e-9:
-                return None
-        return x
+    def best_on(w_lo: np.ndarray, w_hi: np.ndarray, unit: np.ndarray):
+        """Best point and value on the grid ``unit`` scaled to [w_lo, w_hi]."""
+        nonlocal evaluations
+        points = np.minimum(w_lo[:, None] + (w_hi - w_lo)[:, None] * unit, w_hi[:, None])
+        values = np.asarray(objective(points), dtype=float)
+        if values.shape != points.shape[1:]:
+            raise ValueError(
+                f"objective gave shape {values.shape} for {points.shape[1]} points"
+            )
+        if np.isnan(values).any():
+            raise ValueError("objective returned NaN")
+        evaluations += values.size
+        k = int(np.argmax(values))
+        return points[:, k].copy(), float(values[k])
 
-    def backtrack(z: np.ndarray, cand: np.ndarray):
-        """Largest feasible fraction of the move z -> cand.
-
-        Box bounds are linear along the move, so their cutoff is exact;
-        only the inequality constraints need bisection.
-        """
-        m = cand - z
-        t = 1.0
-        up = m > 1e-15
-        dn = m < -1e-15
-        if up.any():
-            t = min(t, float(np.min((hi[up] - z[up]) / m[up])))
-        if dn.any():
-            t = min(t, float(np.min((lo[dn] - z[dn]) / m[dn])))
-        if t <= 1e-12:
-            return None
-        trial = z + t * m
-        x = feasible(trial)
-        if x is not None:
-            return trial, x
-        t_lo, t_hi = 0.0, t
-        best = None
-        for _ in range(14):
-            tm = 0.5 * (t_lo + t_hi)
-            trial = z + tm * m
-            x = feasible(trial)
-            if x is not None:
-                best, t_lo = (trial, x), tm
-            else:
-                t_hi = tm
-        return best
-
-    fixed_dirs = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        fixed_dirs.extend((e, -e))
-
-    def refine(z0, rng, budget, initial_step):
-        """Pattern search from z0; returns (z, value, converged)."""
-        z = z0
-        fz = objective(feasible(z))
-        evals = 1
-        step = initial_step
-        while step > cfg.tol and evals < budget and dim > 0:
-            improved = False
-            dirs = list(fixed_dirs)
-            for _ in range(6):
-                d = rng.standard_normal(dim)
-                norm = np.linalg.norm(d)
-                if norm > 0:
-                    dirs.append(d / norm)
-            for d in dirs:
-                cand = z + step * ranges * d
-                x = feasible(cand)
-                if x is None:
-                    bt = backtrack(z, cand)
-                    if bt is None:
-                        continue
-                    cand, x = bt
-                f = objective(x)
-                evals += 1
-                if f > fz + 1e-15:
-                    z, fz = cand, f
-                    improved = True
-                if evals >= budget:
-                    break
-            if not improved:
-                step *= 0.5
-        return z, fz, step <= cfg.tol or dim == 0
-
-    budget_per_start = max(1, cfg.max_evals // max(1, cfg.restarts))
-    best_val = -np.inf
-    best_z: Optional[np.ndarray] = None
-    best_x: Optional[np.ndarray] = None
-    all_converged = True
-    starts = 0
-
-    for k in range(max(1, cfg.restarts)):
-        rng = _restart_rng(cfg.seed, k)
-        # feasible start point
-        z0 = None
-        for _ in range(200):
-            cand = lo + rng.uniform(size=dim) * ranges
-            if feasible(cand) is not None:
-                z0 = cand
-                break
-        if z0 is None:
-            all_converged = False
-            continue
-        starts += 1
-
-        z, fz, converged = refine(z0, rng, budget_per_start, cfg.initial_step)
-        all_converged = all_converged and converged
-
-        x = feasible(z)
-        if fz > best_val or (
-            fz == best_val and best_x is not None and tuple(x) < tuple(best_x)
-        ):
-            best_val, best_z, best_x = fz, z, x
-
-    if best_x is None:
-        raise SamplingError("no feasible start point found in any restart")
-
-    if dim > 0:
-        # polish the incumbent: SLSQP handles the curved constraint boundary
-        # far better than pattern steps, then a fine-stepped search confirms
-        polished = _slsqp_polish(
-            objective, best_z, lo, hi, domain.inequalities, feasible
-        )
-        if polished is not None:
-            z, fz = polished
-            if fz > best_val:
-                best_val, best_z, best_x = fz, z, feasible(z)
-        rng = _restart_rng(cfg.seed, max(1, cfg.restarts))
-        z, fz, converged = refine(best_z, rng, 4 * budget_per_start, 0.02)
-        all_converged = all_converged and converged
-        if fz > best_val:
-            best_val, best_z, best_x = fz, z, feasible(z)
-    slacks = tuple(1.0 - g(best_x) for g in domain.inequalities)
+    best_x, best_f = best_on(lo, hi, _unit_grid(len(lo), cfg.grid))
+    width = (hi - lo) / (cfg.grid - 1)
+    zoom = _unit_grid(len(lo), _ZOOM_POINTS)
+    while width.max(initial=0.0) >= cfg.tol:
+        w_lo = np.maximum(lo, best_x - 2 * width)
+        w_hi = np.minimum(hi, best_x + 2 * width)
+        x, f = best_on(w_lo, w_hi, zoom)
+        if f > best_f:
+            best_x, best_f = x, f
+        width = (w_hi - w_lo) / (_ZOOM_POINTS - 1)
     return SearchResult(
-        value=float(best_val),
+        value=best_f,
         point=best_x,
-        starts_used=starts,
-        converged=all_converged,
-        constraint_slacks=slacks,
+        starts_used=1,
+        converged=True,
+        constraint_slacks=(),
+        method="grid+zoom",
+        evaluations=evaluations,
+        grid=cfg.grid,
+        cell_width=float(width.max(initial=0.0)),
     )

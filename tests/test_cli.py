@@ -128,10 +128,18 @@ class TestMax:
     def test_case_without_qm_is_usage_error(self):
         assert run_cli("max", "--model", "ns", "--case", "3").returncode == 2
 
+    def test_qm_bound(self):
+        proc = run_cli("max", "--model", "qm")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert abs(payload["value"] - 0.10781271774893628) <= 1e-12
+        assert payload["converged"] is True
+
     def test_qm_hardy_bound(self):
         proc = run_cli("max", "--model", "qm-hardy", "--restarts", "16")
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-3
+        assert payload["converged"] is True
 
     def test_lr_case_witness(self):
         proc = run_cli("lr-case", "7")

@@ -132,6 +132,7 @@ class TestMaxUnderIC:
         assert result.constraint_slacks == (1.0 - lhs[0], 1.0 - lhs[1])
         # the optimum sits on both constraint boundaries
         assert max(result.constraint_slacks) <= 1e-9
+        assert result.method == "cutting-plane" and result.evaluations == 2
 
     def test_result_on_simplex(self):
         for kwargs in ({}, {"constrained": False}):

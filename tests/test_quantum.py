@@ -1,5 +1,7 @@
 """Two-qubit pure-state model, constraint solving and quantum maxima."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +22,16 @@ from nlbox.quantum import (
     max_hardy_qm,
     q4_minus_q1_closed_form,
     quantum_box,
+    quantum_tables,
     solve_cabello_constraints,
     tsirelson_scenario,
 )
 from nlbox.cabello import extract_q
 from nlbox.search import SearchConfig, SearchDomain, maximize
+
+QM_MAX = 0.10781271774893628
+CASE_12_MAX = 0.09920568268063716
+CASE_13_MAX = 0.07155367030998326
 
 HALF_PI = math.pi / 2
 
@@ -70,6 +77,24 @@ class TestJointProbability:
 
 
 class TestQuantumBox:
+    def test_bloch_form_matches_kron_products(self):
+        rng = np.random.default_rng(11)
+        scens = [random_scenario(rng) for _ in range(50)]
+        dirs = [(s.a0, s.a1, s.b0, s.b1) for s in scens]
+        tables = quantum_tables([s.state.beta for s in scens], [s.state.gamma for s in scens],
+                                [[d.theta for d in ds] for ds in dirs],
+                                [[d.phi for d in ds] for ds in dirs])
+        assert tables.shape == (50, 4, 4)
+        for scen, table in zip(scens, tables):
+            assert scen.state.gamma != 0.0
+            np.testing.assert_array_equal(quantum_box(scen).p, table)
+            for x in (0, 1):
+                for y in (0, 1):
+                    for a in (0, 1):
+                        for b in (0, 1):
+                            kron = joint_probability(scen, a, b, x, y)
+                            assert abs(table[2 * x + y, 2 * a + b] - kron) <= 1e-14
+
     def test_valid_no_signaling(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -189,9 +214,13 @@ class TestClosedForm:
         # letting the residual phase freedom vary must not beat the canonical
         # phase choice baked into the closed form
         def objective(z):
+            # canonical_scenario(beta, tx0, ty0, phase_delta=delta), batched
             beta, tx0, ty0, delta = z
-            box = quantum_box(canonical_scenario(beta, tx0, ty0, phase_delta=delta))
-            return extract_q(box).success
+            tx1, ty1 = solve_cabello_constraints(PureState(beta), tx0, ty0)
+            half_pi = np.full_like(delta, HALF_PI)
+            p = quantum_tables(beta, 0.0, np.stack([tx0, tx1, ty0, ty1], -1),
+                               np.stack([half_pi + delta, half_pi, half_pi, half_pi - delta], -1))
+            return p[:, 3, 3] - p[:, 0, 0]  # q4 - q1
 
         free = maximize(
             objective,
@@ -201,9 +230,9 @@ class TestClosedForm:
                 (0.01, math.pi - 0.01),
                 (-math.pi, math.pi),
             )),
-            SearchConfig(restarts=24, seed=0, max_evals=60000),
+            SearchConfig(grid=17),  # 33**4 points need several hundred MB
         )
-        canonical, _, _ = max_cabello_qm(restarts=24, seed=0)
+        canonical, _, _ = max_cabello_qm()
         assert abs(free.value - canonical.value) <= 1e-8
 
 
@@ -228,22 +257,62 @@ class TestCaseGeometry:
 
 class TestQuantumMaxima:
     def test_global_cabello_maximum(self):
-        result, scen, _ = max_cabello_qm(restarts=24, seed=0)
-        assert abs(result.value - 0.1078) <= 1e-3
+        result, scen, _ = max_cabello_qm()
+        assert abs(result.value - QM_MAX) <= 1e-12
         q = extract_q(quantum_box(scen))
         assert abs(q.success - result.value) <= 1e-9
+        assert abs(q.q2) <= 1e-9 and abs(q.q3) <= 1e-9
+        assert result.method == "grid+zoom" and result.converged
+        assert result.grid == 33 and result.cell_width < 1e-12
+        assert result.evaluations == 33 ** 3 + 37 * 9 ** 3
 
     def test_case_12_maximum(self):
-        result, _, _ = max_cabello_qm(12, restarts=24, seed=0)
-        assert abs(result.value - 0.0990) <= 1e-3
+        for cid in (12, 14):
+            result, _, _ = max_cabello_qm(cid)
+            assert abs(result.value - CASE_12_MAX) <= 1e-12
+
+    def test_case_13_maximum(self):
+        for cid in (13, 15):
+            result, _, _ = max_cabello_qm(cid)
+            assert abs(result.value - CASE_13_MAX) <= 1e-12
 
     def test_case_9_is_zero(self):
-        result, _, _ = max_cabello_qm(9, restarts=24, seed=0)
-        assert result.value <= 1e-8
+        result, _, _ = max_cabello_qm(9)
+        assert abs(result.value) <= 1e-12
+
+    def test_cases_1_to_11_are_zero(self):
+        for cid in range(1, 12):
+            result, scen, geom = max_cabello_qm(cid)
+            assert abs(result.value) <= 1e-12, cid
+            if not geom.free_names:
+                assert result.evaluations == 1
+            q = extract_q(quantum_box(scen))
+            assert abs(q.q2) <= 1e-9 and abs(q.q3) <= 1e-9
+
+    def test_result_independent_of_restarts_and_seed(self):
+        base, _, _ = max_cabello_qm(12)
+        for restarts, seed in ((1, 0), (64, 7)):
+            other, _, _ = max_cabello_qm(12, restarts=restarts, seed=seed)
+            assert other.value == base.value
+            np.testing.assert_array_equal(other.point, base.point)
+        hardy, _ = max_hardy_qm(restarts=3, seed=5)
+        assert hardy.value == max_hardy_qm()[0].value
+
+    def test_does_not_import_scipy_optimize(self):
+        code = (
+            "import contextlib, io, sys, nlbox, nlbox.cli\n"
+            "nlbox.max_cabello_qm(); nlbox.max_hardy_qm()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert nlbox.cli.main(['table3']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_hardy_maximum(self):
-        result, scen = max_hardy_qm(restarts=24, seed=0)
-        assert abs(result.value - (5 * math.sqrt(5) - 11) / 2) <= 1e-4
+        result, scen = max_hardy_qm()
+        assert abs(result.value - (5 * math.sqrt(5) - 11) / 2) <= 1e-12
         q = extract_q(quantum_box(scen))
         assert abs(q.q1) <= 1e-9 and abs(q.q2) <= 1e-9 and abs(q.q3) <= 1e-9
         assert abs(q.q4 - result.value) <= 1e-9

@@ -1,4 +1,6 @@
-"""Deterministic multistart box-domain maximizer and constrained simplex sampling."""
+"""Deterministic grid-then-zoom box maximizer and constrained simplex sampling."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,32 +13,58 @@ from nlbox.search import (
 )
 
 
+def sin_ramp(x):
+    return np.sin(5 * x[0]) + 0.2 * x[0]
+
+
 def test_calibration_quadratic_on_interval():
-    result = maximize(
-        lambda x: -((x[0] - 0.3) ** 2),
-        SearchDomain(bounds=((0.0, 1.0),)),
-        SearchConfig(restarts=4, seed=0),
-    )
+    result = maximize(lambda x: -((x[0] - 0.3) ** 2), SearchDomain(bounds=((0.0, 1.0),)))
     assert abs(result.value) <= 1e-12
     assert abs(result.point[0] - 0.3) <= 1e-6
+    assert result.method == "grid+zoom" and result.converged
+    assert result.grid == 33 and result.cell_width < 1e-12
+
+
+def test_global_maximum_of_multimodal_function():
+    # sin(5x) + 0.2x on [0, 3] has three local maxima, where cos(5x) = -0.04;
+    # the last one, 5x = arccos(-0.04) + 4 pi, is the global one
+    argmax = (math.acos(-0.04) + 4 * math.pi) / 5
+    result = maximize(sin_ramp, SearchDomain(bounds=((0.0, 3.0),)))
+    assert abs(result.value - (math.sin(5 * argmax) + 0.2 * argmax)) <= 1e-12
+    assert abs(result.point[0] - argmax) <= 1e-6
 
 
 def test_determinism():
     domain = SearchDomain(bounds=((0.0, 3.0),))
-    cfg = SearchConfig(restarts=6, seed=42)
-    objective = lambda x: float(np.sin(5 * x[0]) + 0.2 * x[0])
-    r1 = maximize(objective, domain, cfg)
-    r2 = maximize(objective, domain, cfg)
+    r1 = maximize(sin_ramp, domain)
+    r2 = maximize(sin_ramp, domain, SearchConfig())
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.point, r2.point)
+    assert r1.evaluations == r2.evaluations
 
 
-def test_monotonic_in_restarts():
-    domain = SearchDomain(bounds=((0.0, 3.0),))
-    objective = lambda x: float(np.sin(5 * x[0]) + 0.2 * x[0])
-    v_few = maximize(objective, domain, SearchConfig(restarts=2, seed=5)).value
-    v_more = maximize(objective, domain, SearchConfig(restarts=4, seed=5)).value
-    assert v_more >= v_few - 1e-12
+def test_no_free_coordinate_is_evaluated_once():
+    calls = []
+
+    def objective(z):
+        calls.append(z.shape)
+        return np.full(z.shape[1], 0.25)
+
+    result = maximize(objective, SearchDomain(bounds=()))
+    assert calls == [(0, 1)]
+    assert result.value == 0.25 and result.point.shape == (0,)
+    assert result.evaluations == 1
+
+
+def test_inequalities_are_rejected():
+    domain = SearchDomain(bounds=((0.0, 1.0),), inequalities=(lambda x: x[0],))
+    with pytest.raises(DomainError):
+        maximize(lambda x: x[0], domain)
+
+
+def test_nan_objective_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        maximize(lambda x: np.full(x.shape[1], np.nan), SearchDomain(bounds=((0.0, 1.0),)))
 
 
 class TestSampleAffineSimplex:
