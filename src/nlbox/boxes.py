@@ -17,6 +17,16 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 ROW_OF = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+_PAIRS = tuple(f"{x}{y}" for x, y in ROW_OF)  # labels of the rows XY and columns ab
+
+# The one linear map of the table: for tables p of shape (..., 4, 4),
+# p @ _ROW_MAP.T gives per input row XY the row total, P(a=0|XY), P(b=0|XY)
+# and P(a=b|XY).  Outcome 0 counts as +1, so 2 _ROW_MAP - 1 gives the row
+# total, C_A, C_B and C_AB of each row instead, and its inverse takes rows
+# (1, C_A, C_B, C_AB) back to the table.  2 _ROW_MAP - 1 is a symmetric
+# Hadamard matrix (its square is 4 I), so that inverse is it divided by 4.
+_ROW_MAP = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=float)
+_FROM_CORRELATORS = (2.0 * _ROW_MAP - 1.0) / 4.0
 
 
 class BoxError(ValueError):
@@ -74,6 +84,9 @@ class Box:
     def __eq__(self, other) -> bool:
         return isinstance(other, Box) and np.array_equal(self.p, other.p)
 
+    def __hash__(self) -> int:
+        return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, as == does
+
     def to_json(self) -> str:
         return json.dumps({"p": self.p.tolist()})
 
@@ -109,27 +122,43 @@ class Violation:
     magnitude: float
 
 
+def row_stats(p) -> np.ndarray:
+    """Per input row XY of tables p (..., 4, 4): the row total, P(a=0|XY),
+    P(b=0|XY) and P(a=b|XY), in a last axis of length 4."""
+    return np.asarray(p, dtype=float) @ _ROW_MAP.T
+
+
+def from_correlator_rows(rows) -> np.ndarray:
+    """Tables (..., 4, 4) from their rows (1, C_A, C_B, C_AB) per input XY."""
+    return np.asarray(rows, dtype=float) @ _FROM_CORRELATORS.T
+
+
+def _marginals(stats: np.ndarray) -> np.ndarray:
+    """P(outcome 0) from row stats, indexed [party A/B, input, remote input]."""
+    grid = stats.reshape(2, 2, 4)  # [X, Y, stat], as row XY = 2X + Y
+    return np.array([grid[..., 1], grid[..., 2].T])
+
+
+# (kind, location) of the checks of validate_box in report order: each input
+# row's four entries and then its total, row by row, then the no-signaling
+# of the inputs A0, B0, A1, B1
+_CHECKS = [
+    check for xy in _PAIRS for check in
+    [("positivity", f"P({ab}|{xy})") for ab in _PAIRS] + [("normalization", f"row XY={xy}")]
+] + [("no-signaling", f"party {party}, input {inp}") for inp in (0, 1) for party in "AB"]
+
+
 def validate_box(box: Box, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check positivity, normalization and no-signaling; empty list if valid."""
     p = box.p
-    out: list[Violation] = []
-    for (x, y), row in ROW_OF.items():
-        for (a, b), col in ROW_OF.items():
-            if p[row, col] < -tol:
-                out.append(
-                    Violation("positivity", f"P({a}{b}|{x}{y})", float(-p[row, col]))
-                )
-        gap = abs(p[row].sum() - 1.0)
-        if gap > tol:
-            out.append(Violation("normalization", f"row XY={x}{y}", float(gap)))
-    for inp in (0, 1):
-        m0, m1 = _marginal_pair(box, "A", inp)
-        if abs(m0 - m1) > tol:
-            out.append(Violation("no-signaling", f"party A, input {inp}", abs(m0 - m1)))
-        m0, m1 = _marginal_pair(box, "B", inp)
-        if abs(m0 - m1) > tol:
-            out.append(Violation("no-signaling", f"party B, input {inp}", abs(m0 - m1)))
-    return out
+    stats = row_stats(p)
+    m = _marginals(stats)
+    magnitudes = np.concatenate([
+        np.concatenate([-p, np.abs(stats[:, :1] - 1.0)], axis=1).ravel(),
+        np.abs(m[..., 0] - m[..., 1]).T.ravel(),
+    ])
+    return [Violation(*_CHECKS[k], float(magnitudes[k]))
+            for k in np.flatnonzero(magnitudes > tol)]
 
 
 def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
@@ -138,26 +167,11 @@ def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise InvalidBoxError("; ".join(f"{v.kind} at {v.location}" for v in report))
 
 
-def _marginal_pair(box: Box, party: str, inp: int) -> tuple[float, float]:
-    """P(outcome 0 | input) computed once per choice of the remote input."""
-    p = box.p
-    if party == "A":
-        rows = (ROW_OF[(inp, 0)], ROW_OF[(inp, 1)])
-        cols = (0, 1)  # a = 0
-    elif party == "B":
-        rows = (ROW_OF[(0, inp)], ROW_OF[(1, inp)])
-        cols = (0, 2)  # b = 0
-    else:
-        raise ValueError(f"unknown party {party!r}")
-    return (
-        float(p[rows[0], cols[0]] + p[rows[0], cols[1]]),
-        float(p[rows[1], cols[0]] + p[rows[1], cols[1]]),
-    )
-
-
 def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
     """Probability of outcome 0 for the given party/input of a no-signaling box."""
-    m0, m1 = _marginal_pair(box, party, inp)
+    if party not in ("A", "B") or inp not in (0, 1):
+        raise ValueError(f"unknown party {party!r} or input {inp!r}")
+    m0, m1 = _marginals(row_stats(box.p))["AB".index(party), inp].tolist()
     if abs(m0 - m1) > tol:
         raise SignalingError(party, inp, (m0, m1))
     return 0.5 * (m0 + m1)
@@ -166,31 +180,17 @@ def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
 def to_correlators(box: Box, tol: float = DEFAULT_TOL) -> CorrelatorForm:
     """C_X = P(a=0|X) - P(a=1|X), likewise C_Y; C_XY = P(a=b|XY) - P(a!=b|XY)."""
     require_valid(box, tol)
-    p = box.p
-    c_x = tuple(2.0 * marginal(box, "A", x, tol) - 1.0 for x in (0, 1))
-    c_y = tuple(2.0 * marginal(box, "B", y, tol) - 1.0 for y in (0, 1))
-    c_xy = tuple(
-        tuple(
-            float(p[ROW_OF[(x, y)], 0] + p[ROW_OF[(x, y)], 3]
-                  - p[ROW_OF[(x, y)], 1] - p[ROW_OF[(x, y)], 2])
-            for y in (0, 1)
-        )
-        for x in (0, 1)
-    )
-    return CorrelatorForm(c_x, c_y, c_xy)
+    stats = row_stats(box.p)
+    c_x, c_y = (_marginals(stats).sum(axis=-1) - 1.0).tolist()
+    c_xy = (2.0 * stats[:, 3] - stats[:, 0]).reshape(2, 2).tolist()
+    return CorrelatorForm(tuple(c_x), tuple(c_y), tuple(map(tuple, c_xy)))
 
 
 def from_correlators(corr: CorrelatorForm, tol: float = DEFAULT_TOL) -> Box:
     """Invert to the probability table; raise if any entry leaves [0, 1]."""
-    p = np.empty((4, 4))
-    for (x, y), row in ROW_OF.items():
-        for (a, b), col in ROW_OF.items():
-            p[row, col] = 0.25 * (
-                1.0
-                + (-1.0) ** a * corr.c_x[x]
-                + (-1.0) ** b * corr.c_y[y]
-                + (-1.0) ** (a ^ b) * corr.c_xy[x][y]
-            )
+    rows = np.stack([np.ones(4), np.repeat(corr.c_x, 2), np.tile(corr.c_y, 2),
+                     np.ravel(corr.c_xy)], -1)  # rows XY = 2X + Y
+    p = from_correlator_rows(rows)
     if p.min() < -tol or p.max() > 1.0 + tol:
         raise InfeasibleCorrelatorError(
             f"reconstructed entries span [{p.min()}, {p.max()}]"
@@ -249,10 +249,8 @@ def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL
         raise ValueError(f"negative weight {w.min()}")
     if abs(w.sum() - 1.0) > tol:
         raise ValueError(f"weights sum to {w.sum()}, not 1")
-    p = np.zeros((4, 4))
-    for box, wi in zip(boxes, w):
-        p += wi * box.p
-    return Box(p)
+    tables = np.array([box.p for box in boxes]).reshape(len(w), 16)
+    return Box((w @ tables).reshape(4, 4))
 
 
 def chsh_value(box: Box, x: int, y: int, tol: float = DEFAULT_TOL) -> float:

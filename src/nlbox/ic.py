@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import Box, DEFAULT_TOL, require_valid
+from .boxes import Box, DEFAULT_TOL, require_valid, row_stats
 from .cabello import check_coefficients, success_closed_form
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.ic.maximize
@@ -65,18 +65,17 @@ class RACOutcome:
         return self.mi_bit0 + self.mi_bit1
 
 
-def _agree(box: Box, x: int, y: int) -> float:
-    """P(a xor b = 0 | XY)."""
-    return box.prob(0, 0, x, y) + box.prob(1, 1, x, y)
-
-
 def ic_quantities(box: Box, tol: float = DEFAULT_TOL) -> ICQuantities:
+    """Success probabilities of the 2->1 RAC over the box (see rac_simulate),
+    with Alice (``_a``) or Bob (``_b``) as the sender, from the agreements
+    P(a=b|XY)."""
     require_valid(box, tol)
+    g00, g01, g10, g11 = row_stats(box.p)[:, 3].tolist()  # P(a=b|XY)
     return ICQuantities(
-        p_i_a=0.5 * (_agree(box, 0, 0) + _agree(box, 1, 0)),
-        p_ii_a=0.5 * (_agree(box, 0, 1) + (1.0 - _agree(box, 1, 1))),
-        p_i_b=0.5 * (_agree(box, 0, 0) + _agree(box, 0, 1)),
-        p_ii_b=0.5 * (_agree(box, 1, 0) + (1.0 - _agree(box, 1, 1))),
+        p_i_a=0.5 * (g00 + g10),
+        p_ii_a=0.5 * (g01 + (1.0 - g11)),
+        p_i_b=0.5 * (g00 + g01),
+        p_ii_b=0.5 * (g10 + (1.0 - g11)),
     )
 
 
@@ -216,23 +215,12 @@ def rac_simulate(box: Box, tol: float = DEFAULT_TOL) -> RACOutcome:
     """Exact 2->1 random-access-code run over the given box.
 
     Alice holds uniform bits (X0, X1), feeds X = X0 xor X1 to the box and
-    sends m = X0 xor a; Bob feeds Y = i and guesses X_i as m xor b.  The
-    joint law of (X_i, guess) is enumerated exactly.
+    sends m = X0 xor a; Bob feeds Y = i and guesses X_i as m xor b.  His
+    guess is right when a xor b = X*i, which happens with probability
+    p_i_a (i = 0) or p_ii_a (i = 1) of ``ic_quantities`` whatever the data
+    bit, so the joint law of (X_i, guess) is [[P, 1-P], [1-P, P]] / 2.
     """
-    require_valid(box, tol)
-    joints = [np.zeros((2, 2)), np.zeros((2, 2))]
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            x = x0 ^ x1
-            data = (x0, x1)
-            for i in (0, 1):
-                for a in (0, 1):
-                    for b in (0, 1):
-                        guess = x0 ^ a ^ b
-                        joints[i][data[i], guess] += 0.25 * box.prob(a, b, x, i)
-    return RACOutcome(
-        p_bit0=float(joints[0][0, 0] + joints[0][1, 1]),
-        p_bit1=float(joints[1][0, 0] + joints[1][1, 1]),
-        mi_bit0=mutual_information(joints[0]),
-        mi_bit1=mutual_information(joints[1]),
-    )
+    q = ic_quantities(box, tol)
+    mi = [mutual_information(0.5 * np.array([[p, 1.0 - p], [1.0 - p, p]]))
+          for p in (q.p_i_a, q.p_ii_a)]
+    return RACOutcome(q.p_i_a, q.p_ii_a, *mi)

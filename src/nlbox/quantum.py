@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, from_correlator_rows
 from .localrandom import case_inputs
 from .search import SearchDomain, SearchResult, maximize
 
@@ -88,20 +88,18 @@ def joint_probability(scen: QuantumScenario, a: int, b: int, x: int, y: int) -> 
     return float(np.real(np.trace(rho @ op)))
 
 
-_SIGNS = np.array([1.0, -1.0])
-
-
 def quantum_tables(beta, gamma, theta, phi) -> np.ndarray:
     """Tables P(ab|XY) of many scenarios at once, in the Bloch form
 
         P(ab|xy) = (1 + a m_x.r + b n_y.r + a b m_x.T n_y) / 4
 
-    with outcome signs a, b = +-1.  For cos(beta)|00> + e^{i gamma}
-    sin(beta)|11> both Bloch vectors are r = cos(2 beta) z, and T has rows
-    (s cos gamma, s sin gamma, 0), (s sin gamma, -s cos gamma, 0), (0, 0, 1)
-    with s = sin(2 beta).  ``beta`` and ``gamma`` have shape S, ``theta``
-    and ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the result has
-    shape S + (4, 4), rows and columns ordered as in Box.
+    with outcome signs a, b = +-1, built by ``boxes.from_correlator_rows``
+    from the rows (1, m_x.r, n_y.r, m_x.T n_y).  For cos(beta)|00> +
+    e^{i gamma} sin(beta)|11> both Bloch vectors are r = cos(2 beta) z, and
+    T has rows (s cos gamma, s sin gamma, 0), (s sin gamma, -s cos gamma, 0),
+    (0, 0, 1) with s = sin(2 beta).  ``beta`` and ``gamma`` have shape S,
+    ``theta`` and ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the
+    result has shape S + (4, 4), rows and columns ordered as in Box.
     """
     beta = np.asarray(beta, dtype=float)[..., None]
     gamma = np.asarray(gamma, dtype=float)[..., None]
@@ -117,11 +115,12 @@ def quantum_tables(beta, gamma, theta, phi) -> np.ndarray:
     ty = s_sin * nx[..., 2:] - s_cos * ny[..., 2:]
     corr = (nx[..., :2, None] * tx[..., None, :] + ny[..., :2, None] * ty[..., None, :]
             + nz[..., :2, None] * nz[..., None, 2:])
-    sa, sb = _SIGNS[:, None], _SIGNS[None, :]
-    p = 0.25 * (1.0 + local[..., :2, None, None, None] * sa
-                + local[..., None, 2:, None, None] * sb
-                + corr[..., None, None] * (sa * sb))
-    return p.reshape(p.shape[:-4] + (4, 4))
+    rows = np.empty(corr.shape + (4,))  # [..., X, Y, (1, C_A, C_B, C_AB)]
+    rows[..., 0] = 1.0
+    rows[..., 1] = local[..., :2, None]
+    rows[..., 2] = local[..., None, 2:]
+    rows[..., 3] = corr
+    return from_correlator_rows(rows.reshape(corr.shape[:-2] + (4, 4)))
 
 
 def quantum_box(scen: QuantumScenario) -> Box:

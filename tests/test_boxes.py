@@ -62,6 +62,29 @@ class TestValidateBox:
         with pytest.raises(MalformedBoxError):
             Box(np.full((3, 4), 0.25))
 
+    def test_full_report_kinds_locations_order_and_magnitudes(self):
+        p = np.array([
+            [0.25, -0.1, 0.25, 0.25],   # XY=00: one negative entry, total 0.65
+            [-0.1, 0.6, -0.1, 0.6],     # XY=01: two negative entries
+            [0.6, -0.2, 0.3, 0.3],      # XY=10: one negative entry
+            [0.4, 0.1, 0.4, 0.1],       # XY=11
+        ])
+        expected = [
+            ("positivity", "P(01|00)", 0.1),
+            ("normalization", "row XY=00", 0.35),
+            ("positivity", "P(00|01)", 0.1),
+            ("positivity", "P(10|01)", 0.1),
+            ("positivity", "P(01|10)", 0.2),
+            ("no-signaling", "party A, input 0", 0.35),  # P(a=0): 0.15 vs 0.5
+            ("no-signaling", "party B, input 0", 0.4),   # P(b=0): 0.5 vs 0.9
+            ("no-signaling", "party A, input 1", 0.1),   # P(a=0): 0.4 vs 0.5
+            ("no-signaling", "party B, input 1", 1.0),   # P(b=0): -0.2 vs 0.8
+        ]
+        report = validate_box(Box(p))
+        assert [(v.kind, v.location) for v in report] == [e[:2] for e in expected]
+        for v, (_, _, magnitude) in zip(report, expected):
+            assert abs(v.magnitude - magnitude) <= 1e-12
+
 
 class TestCorrelators:
     def test_pr_box(self):
@@ -234,15 +257,52 @@ class TestMarginal:
             marginal(Box(p), "A", 0)
 
     def test_both_marginal_computations_agree(self):
+        # on mixtures the marginal of each input is the same for both remote
+        # inputs, to rounding
         verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
         rng = np.random.default_rng(3)
         for _ in range(1000):
             w = rng.dirichlet(np.ones(len(verts)))
             box = mix(verts, w)
-            for party in "AB":
-                for inp in (0, 1):
-                    m0, m1 = boxes._marginal_pair(box, party, inp)
+            assert validate_box(box, 1e-12) == []
+            for inp in (0, 1):
+                pairs = {
+                    "A": [box.prob(0, 0, inp, y) + box.prob(0, 1, inp, y) for y in (0, 1)],
+                    "B": [box.prob(0, 0, x, inp) + box.prob(1, 0, x, inp) for x in (0, 1)],
+                }
+                for party, (m0, m1) in pairs.items():
                     assert abs(m0 - m1) <= 1e-12
+                    assert abs(marginal(box, party, inp, tol=1e-12) - (m0 + m1) / 2) <= 1e-15
+
+    def test_unknown_party_or_input(self):
+        for party, inp in (("C", 0), ("A", 2), ("B", -1)):
+            with pytest.raises(ValueError):
+                marginal(pr_box(), party, inp)
+
+
+class TestRowMap:
+    def test_row_stats_of_the_pr_box(self):
+        # per row XY: total, P(a=0|XY), P(b=0|XY), P(a=b|XY)
+        expected = [[1.0, 0.5, 0.5, 1.0]] * 3 + [[1.0, 0.5, 0.5, 0.0]]
+        np.testing.assert_array_equal(boxes.row_stats(pr_box().p), expected)
+
+    def test_correlator_rows_are_inverted(self):
+        # the map acts row by row, so tables whose every row is the same
+        # unit vector e_ab check the inverse on a basis
+        units = np.repeat(np.eye(4)[:, None, :], 4, axis=1)  # [ab, XY, column]
+        stats = boxes.row_stats(units)
+        rows = 2.0 * stats - stats[..., :1]  # total, C_A, C_B, C_AB
+        np.testing.assert_array_equal(boxes.from_correlator_rows(rows), units)
+
+
+class TestHash:
+    def test_equal_boxes_hash_alike(self):
+        p = np.array(pr_box().p)
+        p[0, 1] = -0.0
+        signed_zero = Box(p)
+        assert signed_zero == pr_box()
+        assert hash(signed_zero) == hash(pr_box())
+        assert len({pr_box(), signed_zero, nonlocal_vertex(0, 0, 0), uniform_box()}) == 2
 
 
 class TestSerialization:

@@ -184,7 +184,35 @@ class TestMutualInformation:
         assert abs(mutual_information(np.full((2, 2), 0.25))) <= 1e-12
 
 
+def rac_by_enumeration(box):
+    """The 2->1 RAC over the box, enumerated over Alice's data bits (X0, X1)
+    and the outcomes: Alice feeds X0 xor X1 and sends X0 xor a, Bob feeds
+    i and guesses X_i as the message xor b.  Returns the success
+    probabilities and mutual informations of bits 0 and 1."""
+    joints = [np.zeros((2, 2)), np.zeros((2, 2))]
+    for x0 in (0, 1):
+        for x1 in (0, 1):
+            data = (x0, x1)
+            for i in (0, 1):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        guess = x0 ^ a ^ b
+                        joints[i][data[i], guess] += 0.25 * box.prob(a, b, x0 ^ x1, i)
+    return ([j[0, 0] + j[1, 1] for j in joints],
+            [mutual_information(j) for j in joints])
+
+
 class TestRac:
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(15)
+        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        mixtures = [boxes.mix(verts, rng.dirichlet(np.ones(24))) for _ in range(500)]
+        for box in verts + [boxes.uniform_box()] + mixtures:
+            (p0, p1), (mi0, mi1) = rac_by_enumeration(box)
+            out = rac_simulate(box)
+            assert abs(out.p_bit0 - p0) <= 1e-15 and abs(out.p_bit1 - p1) <= 1e-15
+            assert abs(out.mi_bit0 - mi0) <= 1e-14 and abs(out.mi_bit1 - mi1) <= 1e-14
+
     def test_pr_box_gives_two_bits(self):
         out = rac_simulate(boxes.pr_box())
         assert out.p_bit0 == 1.0 and out.p_bit1 == 1.0

@@ -113,6 +113,42 @@ class TestConstraintMarginalEquivalence:
                 )
 
 
+def stacked_input_rows(case_id):
+    """The case's system composed from the single-input rows: the
+    input_constraint rows of its inputs and the simplex row, as [A | b]."""
+    rows = [np.append(*input_constraint(inp)) for inp in case_inputs(case_id)]
+    return np.vstack(rows + [np.append(np.ones(11), 1.0)])
+
+
+class TestTable1Derivation:
+    def test_written_systems_span_the_stacked_input_rows(self):
+        # the hand-written relations are the input rows plus the listed zeros
+        rank = np.linalg.matrix_rank
+        for cid in lr_cases():
+            system = lr_constraints(cid)
+            written = np.vstack([np.column_stack([system.a, system.b]),
+                                 np.append(np.ones(11), 1.0)])
+            derived = np.vstack([stacked_input_rows(cid)]
+                                + [np.eye(12)[k - 1] for k in system.zero_variables])
+            assert rank(written) == rank(derived) == rank(np.vstack([written, derived])), cid
+
+    def test_zero_variables_are_the_forced_zeros(self):
+        # c_k is forced to 0 iff its maximum over the nonnegative solutions
+        # of the stacked input rows is 0
+        from scipy.optimize import linprog
+
+        for cid in lr_cases():
+            stacked = stacked_input_rows(cid)
+            forced = set()
+            for k in range(11):
+                lp = linprog(-np.eye(11)[k], A_eq=stacked[:, :11], b_eq=stacked[:, 11],
+                             bounds=(0.0, None), method="highs")
+                assert lp.status == 0, (cid, k, lp.message)
+                if -lp.fun <= 1e-12:
+                    forced.add(k + 1)
+            assert forced == set(lr_constraints(cid).zero_variables), cid
+
+
 class TestFeasibilityWitness:
     def test_case_1_corner_is_valid(self):
         c = coeffs(c11=1)
