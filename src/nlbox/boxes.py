@@ -102,7 +102,7 @@ class Box:
         buf.write("XY,ab,prob\n")
         for (x, y), row in ROW_OF.items():
             for (a, b), col in ROW_OF.items():
-                buf.write(f"{x}{y},{a}{b},{self.p[row, col]!r}\n")
+                buf.write(f"{x}{y},{a}{b},{float(self.p[row, col])!r}\n")
         return buf.getvalue()
 
 

@@ -56,15 +56,20 @@ def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> 
     return arr
 
 
+def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
+    """Checked c1..c11 from 6 Hardy weights (c7..c11 = 0) or 11 Cabello ones."""
+    c = np.asarray(c, dtype=float)
+    if c.shape == (6,):
+        c = np.concatenate([c, np.zeros(5)])
+    return check_coefficients(c, 11)
+
+
 def coefficients_from_json(text: str) -> np.ndarray:
     """Parse {"c": [...]} with 6 (Hardy) or 11 (Cabello) entries."""
     data = json.loads(text)
     if not isinstance(data, dict) or "c" not in data:
         raise CoefficientError('expected a JSON object with key "c"')
-    c = np.asarray(data["c"], dtype=float)
-    if c.shape == (6,):
-        c = np.concatenate([c, np.zeros(5)])
-    return check_coefficients(c, 11)
+    return cabello_coefficients(data["c"])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ CHECK_FAILURE = 1
 
 
 def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("NLBOX_SEED", "0")))
+    # argparse converts a string default with ``type``, so a malformed
+    # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
+    parser.add_argument("--seed", type=int, default=os.environ.get("NLBOX_SEED", "0"))
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--restarts", type=int, default=64)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -49,10 +50,7 @@ def _load_coeffs(spec: str) -> np.ndarray:
     if os.path.exists(spec):
         with open(spec) as fh:
             return cabello.coefficients_from_json(fh.read())
-    c = np.array([float(tok) for tok in spec.split(",")])
-    if c.shape == (6,):
-        c = np.concatenate([c, np.zeros(5)])
-    return cabello.check_coefficients(c, 11)
+    return cabello.cabello_coefficients([float(tok) for tok in spec.split(",")])
 
 
 def cmd_validate(args) -> int:
@@ -205,14 +203,6 @@ def cmd_table2(args) -> int:
     return 0 if ok and all(w is not None for w in witnesses.values()) else CHECK_FAILURE
 
 
-def _angle_label(spec: Optional[str]) -> str:
-    if spec is None:
-        return "free"
-    if spec == "half_pi":
-        return "pi/2"
-    return "2*beta"
-
-
 def _witness(scen: quantum.QuantumScenario, with_gamma: bool = False) -> dict:
     """Angles of a quantum witness, as printed by max and table3."""
     w = {"beta": scen.state.beta}
@@ -235,8 +225,8 @@ def cmd_table3(args) -> int:
         rows.append({
             "case": cid,
             "inputs": list(lr.case_inputs(cid)),
-            "theta_x0": _angle_label(geom.theta_x0),
-            "theta_y0": _angle_label(geom.theta_y0),
+            "theta_x0": geom.theta_x0 or "free",
+            "theta_y0": geom.theta_y0 or "free",
             "beta": beta_label,
             "max": result.value,
             "witness": _witness(scen),

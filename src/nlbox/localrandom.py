@@ -21,7 +21,7 @@ import numpy as np
 from .boxes import Box, DEFAULT_TOL, marginal
 from .cabello import cabello_box, check_coefficients
 from .ic import ic_cabello_lhs
-from .search import SamplingError, _SimplexMap
+from .search import _SimplexMap
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
 
@@ -169,25 +169,19 @@ def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
     return abs(marginal(box, party, x, tol) - 0.5) <= tol
 
 
-def feasibility_witness(
-    case_id: int, seed: int = 0, budget: int = 100000
-) -> Optional[np.ndarray]:
+def feasibility_witness(case_id: int, seed: int = 0) -> Optional[np.ndarray]:
     """Simplex point satisfying the case's system and both IC quadratics.
 
-    Samples the affine solution set and keeps the first draw passing both
-    inequalities; None only when the budget runs out (not expected, every
-    case is feasible).
+    Draws points of the affine solution set and keeps the first that is
+    nonnegative and passes both inequalities; None only when 100,000 draws
+    all fail (not expected, every case is feasible).
     """
     system = lr_constraints(case_id)
     smap = _SimplexMap(11, (system.a, system.b))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, case_id))))
-    for _ in range(budget):
-        try:
-            c = smap.sample(rng, budget=1000)
-        except SamplingError:
-            continue
-        lhs1, lhs2 = ic_cabello_lhs(c, tol=1e-9)
-        if lhs1 <= 1.0 and lhs2 <= 1.0:
+    for _ in range(100000):
+        c = smap.draw(rng)
+        if c is not None and max(ic_cabello_lhs(c, tol=1e-9)) <= 1.0:
             return c
     return None
 

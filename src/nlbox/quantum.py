@@ -158,31 +158,17 @@ def solve_cabello_constraints(
     return theta_x1, theta_y1
 
 
-def canonical_scenario(
-    beta: float, theta_x0: float, theta_y0: float, phase_delta: float = 0.0
-) -> QuantumScenario:
-    """Scenario with gamma = 0, all phi = pi/2 and the q2 = q3 = 0 completions.
-
-    phase_delta rotates the residual phase freedom left by the two zero
-    conditions (0 is the canonical choice matching the closed form).
-    """
+def canonical_scenario(beta: float, theta_x0: float, theta_y0: float) -> QuantumScenario:
+    """Scenario with gamma = 0, all phi = pi/2 and the q2 = q3 = 0 completions."""
     state = PureState(beta=beta, gamma=0.0)
     tx1, ty1 = solve_cabello_constraints(state, theta_x0, theta_y0)
     return QuantumScenario(
         state=state,
-        a0=MeasurementDirection(theta_x0, HALF_PI + phase_delta),
+        a0=MeasurementDirection(theta_x0, HALF_PI),
         a1=MeasurementDirection(tx1, HALF_PI),
         b0=MeasurementDirection(theta_y0, HALF_PI),
-        b1=MeasurementDirection(ty1, HALF_PI - phase_delta),
+        b1=MeasurementDirection(ty1, HALF_PI),
     )
-
-
-def _q4(beta, theta_x0, theta_y0):
-    """q4 of the completed canonical scenario, elementwise."""
-    tb = np.tan(beta)
-    tx = np.tan(theta_x0 / 2)
-    ty = np.tan(theta_y0 / 2)
-    return np.sin(beta) ** 2 * (tb - tx * ty) ** 2 / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
 
 
 def q4_minus_q1_closed_form(beta, theta_x0, theta_y0):
@@ -191,11 +177,15 @@ def q4_minus_q1_closed_form(beta, theta_x0, theta_y0):
     Elementwise on arrays; a float when every argument is a scalar.
     """
     _check_open(beta, theta_x0, theta_y0)
+    tb = np.tan(beta)
+    tx = np.tan(theta_x0 / 2)
+    ty = np.tan(theta_y0 / 2)
+    q4 = np.sin(beta) ** 2 * (tb - tx * ty) ** 2 / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
     q1 = (
         np.cos(beta) * np.cos(theta_x0 / 2) * np.cos(theta_y0 / 2)
         - np.sin(beta) * np.sin(theta_x0 / 2) * np.sin(theta_y0 / 2)
     ) ** 2
-    success = _q4(beta, theta_x0, theta_y0) - q1
+    success = q4 - q1
     return float(success) if np.ndim(success) == 0 else success
 
 
@@ -208,14 +198,24 @@ def tsirelson_scenario() -> QuantumScenario:
     )
 
 
+# how a fixed polar angle follows from beta and, for theta_y0, theta_x0
+_ANGLE_RULES = {
+    "pi/2": lambda beta, tx0: HALF_PI,
+    "2*beta": lambda beta, tx0: 2.0 * beta,
+    # tan(theta_x0/2) tan(theta_y0/2) = cot(beta) zeroes q1
+    "q1=0": lambda beta, tx0: 2.0 * np.arctan(1.0 / (np.tan(beta) * np.tan(tx0 / 2))),
+}
+
+
 @dataclass(frozen=True)
 class CaseGeometry:
-    """Disposition of (beta, theta_x0, theta_y0) for one local-randomness case."""
+    """Disposition of (beta, theta_x0, theta_y0) for one local-randomness
+    case, or for Hardy's argument (q1 = 0)."""
 
     case_id: Optional[int]
     beta: Optional[float]          # None when free
-    theta_x0: Optional[str]        # None free, 'half_pi' or 'two_beta'
-    theta_y0: Optional[str]
+    theta_x0: Optional[str]        # None when free, else a rule: 'pi/2' or '2*beta'
+    theta_y0: Optional[str]        # None when free, 'pi/2', '2*beta' or 'q1=0'
 
     @property
     def free_names(self) -> tuple[str, ...]:
@@ -232,12 +232,22 @@ class CaseGeometry:
         """(beta, theta_x0, theta_y0) from the free values z, one row per
         free name; rows may be arrays of points."""
         vals = dict(zip(self.free_names, z))
-        beta = self.beta if self.beta is not None else vals["beta"]
-        def angle(spec, name):
-            if spec is None:
-                return vals[name]
-            return HALF_PI if spec == "half_pi" else 2.0 * beta
-        return beta, angle(self.theta_x0, "theta_x0"), angle(self.theta_y0, "theta_y0")
+        beta = vals.get("beta", self.beta)
+        for name, rule in (("theta_x0", self.theta_x0), ("theta_y0", self.theta_y0)):
+            if rule is not None:
+                vals[name] = _ANGLE_RULES[rule](beta, vals.get("theta_x0"))
+        return beta, vals["theta_x0"], vals["theta_y0"]
+
+
+HARDY_GEOMETRY = CaseGeometry(None, None, None, "q1=0")
+
+# the angle a locally random input fixes, and its rule
+_INPUT_RULE = {
+    "0_A": ("theta_x0", "pi/2"),
+    "0_B": ("theta_y0", "pi/2"),
+    "1_A": ("theta_y0", "2*beta"),
+    "1_B": ("theta_x0", "2*beta"),
+}
 
 
 def case_geometry(case_id: Optional[int]) -> CaseGeometry:
@@ -252,24 +262,16 @@ def case_geometry(case_id: Optional[int]) -> CaseGeometry:
         return CaseGeometry(None, None, None, None)
     marks: dict[str, set] = {"theta_x0": set(), "theta_y0": set()}
     for inp in case_inputs(case_id):
-        if inp == "0_A":
-            marks["theta_x0"].add("half_pi")
-        elif inp == "0_B":
-            marks["theta_y0"].add("half_pi")
-        elif inp == "1_A":
-            marks["theta_y0"].add("two_beta")
-        elif inp == "1_B":
-            marks["theta_x0"].add("two_beta")
+        angle, rule = _INPUT_RULE[inp]
+        marks[angle].add(rule)
     beta: Optional[float] = None
     spec: dict[str, Optional[str]] = {}
     for name, mk in marks.items():
-        if mk == {"half_pi", "two_beta"}:
+        if len(mk) == 2:
             beta = math.pi / 4  # pi/2 = 2 beta only there
-            spec[name] = "half_pi"
-        elif mk:
-            spec[name] = next(iter(mk))
+            spec[name] = "pi/2"
         else:
-            spec[name] = None
+            spec[name] = next(iter(mk), None)
     return CaseGeometry(case_id, beta, spec["theta_x0"], spec["theta_y0"])
 
 
@@ -277,16 +279,12 @@ _BETA_BOUNDS = (ANGLE_MARGIN, HALF_PI - ANGLE_MARGIN)
 _THETA_BOUNDS = (ANGLE_MARGIN, math.pi - ANGLE_MARGIN)
 
 
-def max_cabello_qm(
-    case_id: Optional[int] = None, restarts: int = 64, seed: int = 0
-) -> tuple[SearchResult, QuantumScenario, CaseGeometry]:
-    """Maximum q4 - q1 over the free angles of the (possibly constrained) case.
+def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
+    """Maximum of q4 - q1 over the free angles of ``geom``.
 
-    Grid-then-zoom over at most 3 angles (``search.maximize``); a case with
-    no free angle is evaluated once.  ``restarts`` and ``seed`` have no
-    effect; they are accepted so that existing callers keep working.
+    Grid-then-zoom over at most 3 angles (``search.maximize``); a geometry
+    with no free angle is evaluated once.
     """
-    geom = case_geometry(case_id)
     bounds = tuple(
         _BETA_BOUNDS if name == "beta" else _THETA_BOUNDS
         for name in geom.free_names
@@ -296,28 +294,24 @@ def max_cabello_qm(
         return np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
 
     result = maximize(objective, SearchDomain(bounds=bounds))
-    beta, tx0, ty0 = geom.params(result.point)
-    return result, canonical_scenario(beta, tx0, ty0), geom
+    return result, canonical_scenario(*geom.params(result.point))
 
 
-def _hardy_theta_y0(beta, theta_x0):
-    """theta_y0 zeroing q1: tan(theta_x0/2) tan(theta_y0/2) = cot(beta)."""
-    return 2.0 * np.arctan(1.0 / (np.tan(beta) * np.tan(theta_x0 / 2)))
+def max_cabello_qm(
+    case_id: Optional[int] = None, restarts: int = 64, seed: int = 0
+) -> tuple[SearchResult, QuantumScenario, CaseGeometry]:
+    """Maximum q4 - q1 over the free angles of the (possibly constrained) case.
+
+    ``restarts`` and ``seed`` have no effect; they are accepted so that
+    existing callers keep working.
+    """
+    geom = case_geometry(case_id)
+    return (*_solve(geom), geom)
 
 
 def max_hardy_qm(restarts: int = 64, seed: int = 0) -> tuple[SearchResult, QuantumScenario]:
-    """Maximum q4 with q1 = q2 = q3 = 0.
-
-    q1 vanishes when tan(theta_x0/2) tan(theta_y0/2) = cot(beta), which
-    fixes theta_y0 from (beta, theta_x0); the remaining objective is the
-    q4 term of the closed form, maximized by grid-then-zoom over
-    (beta, theta_x0).  ``restarts`` and ``seed`` have no effect.
+    """Maximum q4 with q1 = q2 = q3 = 0: the q4 - q1 maximum over
+    ``HARDY_GEOMETRY``, whose theta_y0 zeroes q1.  ``restarts`` and ``seed``
+    have no effect.
     """
-
-    def objective(z: np.ndarray) -> np.ndarray:
-        beta, tx0 = z
-        return _q4(beta, tx0, _hardy_theta_y0(beta, tx0))
-
-    result = maximize(objective, SearchDomain(bounds=(_BETA_BOUNDS, _THETA_BOUNDS)))
-    beta, tx0 = result.point
-    return result, canonical_scenario(beta, tx0, _hardy_theta_y0(beta, tx0))
+    return _solve(HARDY_GEOMETRY)

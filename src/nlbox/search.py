@@ -124,18 +124,24 @@ class _SimplexMap:
         x[self.pivots] = self.b - self.a[:, self.free] @ free_vals
         return x
 
+    def draw(self, rng: np.random.Generator) -> Optional[np.ndarray]:
+        """One solution from scaled exponential spacings on the free block,
+        or None when it is negative beyond the feasibility tolerance."""
+        t = rng.uniform()
+        g = rng.exponential(size=self.n_free)
+        x = self.full(t * g / g.sum())
+        return x if x.min() >= -_FEAS_TOL else None
+
     def sample(self, rng: np.random.Generator, budget: int = 100000) -> np.ndarray:
-        """Nonnegative solution: scaled exponential spacings on the free block."""
+        """Nonnegative solution: the first of up to ``budget`` draws."""
         if self.n_free == 0:
             x = self.full(np.empty(0))
             if x.min() < -_FEAS_TOL:
                 raise DomainError("equality system has no nonnegative solution")
             return x
         for _ in range(budget):
-            t = rng.uniform()
-            g = rng.exponential(size=self.n_free)
-            x = self.full(t * g / g.sum())
-            if x.min() >= -_FEAS_TOL:
+            x = self.draw(rng)
+            if x is not None:
                 return x
         raise SamplingError(f"no feasible simplex point in {budget} draws")
 

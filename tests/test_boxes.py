@@ -313,7 +313,11 @@ class TestSerialization:
         assert json.loads(box.to_json())["p"][3] == [0.0, 0.5, 0.5, 0.0]
 
     def test_csv_header_and_rows(self):
-        lines = uniform_box().to_csv().strip().splitlines()
+        box = mix([pr_box(), local_vertex(0, 1, 1, 0)], [1 / 3, 2 / 3])
+        lines = box.to_csv().strip().splitlines()
         assert lines[0] == "XY,ab,prob"
         assert len(lines) == 17
         assert lines[1].startswith("00,00,")
+        for line in lines[1:]:
+            xy, ab, prob = line.split(",")
+            assert float(prob) == box.prob(int(ab[0]), int(ab[1]), int(xy[0]), int(xy[1]))

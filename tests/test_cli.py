@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from nlbox.boxes import Box, pr_box
+from nlbox.cabello import hardy_box
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -60,6 +62,12 @@ class TestValidate:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
+    def test_invalid_seed_environment_is_usage_error(self):
+        proc = run_cli("table1", env={**os.environ, "NLBOX_SEED": "abc"})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "invalid int value: 'abc'" in proc.stderr
+
     def test_coefficient_file_without_c_is_usage_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")
@@ -75,6 +83,26 @@ class TestCoefficientCommands:
         payload = json.loads(proc.stdout)
         assert payload["success"] == 0.5
         assert payload["argument_runs"] is True
+
+    def test_inline_and_file_coeffs_agree(self, tmp_path):
+        hardy = "0.1,0.2,0,0.3,0,0.4"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"c": [float(v) for v in hardy.split(",")]}))
+        inline = run_cli("cabello", "--coeffs", hardy)
+        from_file = run_cli("cabello", "--coeffs", str(path))
+        assert inline.returncode == from_file.returncode == 0
+        assert inline.stdout == from_file.stdout
+        assert Box.from_json(json.dumps(json.loads(inline.stdout)["box"])) == hardy_box(
+            [0.1, 0.2, 0, 0.3, 0, 0.4])
+
+    def test_seven_coeffs_fail_alike_inline_and_from_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"c": [0.5, 0.5, 0, 0, 0, 0, 0]}))
+        inline = run_cli("cabello", "--coeffs", "0.5,0.5,0,0,0,0,0")
+        from_file = run_cli("cabello", "--coeffs", str(path))
+        assert inline.returncode == from_file.returncode == 2
+        assert inline.stderr == from_file.stderr
+        assert inline.stderr.count("\n") == 1 and inline.stderr.startswith("error: ")
 
     def test_ic_roundtrip_through_box_parser(self):
         box_json = run_cli("vertex", "nonlocal", "0", "0", "0").stdout

@@ -5,6 +5,7 @@ import pytest
 from nlbox import boxes
 from nlbox.cabello import cabello_box
 from nlbox.ic import ic_cabello_lhs
+from nlbox.search import _FEAS_TOL, _SimplexMap
 from nlbox.localrandom import (
     LR_INPUTS,
     case_inputs,
@@ -172,6 +173,22 @@ class TestFeasibilityWitness:
             assert lr_constraints(cid).satisfied_by(c, tol=1e-9)
             lhs1, lhs2 = ic_cabello_lhs(c)
             assert lhs1 <= 1.0 and lhs2 <= 1.0
+
+    def test_witness_is_first_feasible_draw_of_the_seeded_stream(self):
+        # each draw takes one uniform scale and one exponential spacing per
+        # free coordinate; the witness is the first nonnegative IC-feasible one
+        for cid in (1, 9, 12):
+            for seed in range(3):
+                system = lr_constraints(cid)
+                smap = _SimplexMap(11, (system.a, system.b))
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, cid))))
+                while True:
+                    t = rng.uniform()
+                    g = rng.exponential(size=smap.n_free)
+                    c = smap.full(t * g / g.sum())
+                    if c.min() >= -_FEAS_TOL and max(ic_cabello_lhs(c, tol=1e-9)) <= 1.0:
+                        break
+                np.testing.assert_array_equal(feasibility_witness(cid, seed=seed), c)
 
     def test_deterministic_per_seed(self):
         c1 = feasibility_witness(8, seed=3)

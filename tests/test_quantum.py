@@ -10,6 +10,7 @@ from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied
 from nlbox.localrandom import LR_INPUTS, is_locally_random
 from nlbox.quantum import (
+    HARDY_GEOMETRY,
     DegenerateConstraintError,
     MeasurementDirection,
     PureState,
@@ -214,7 +215,8 @@ class TestClosedForm:
         # letting the residual phase freedom vary must not beat the canonical
         # phase choice baked into the closed form
         def objective(z):
-            # canonical_scenario(beta, tx0, ty0, phase_delta=delta), batched
+            # canonical_scenario(beta, tx0, ty0) with the a0 and b1 phases
+            # turned by +delta and -delta, batched
             beta, tx0, ty0, delta = z
             tx1, ty1 = solve_cabello_constraints(PureState(beta), tx0, ty0)
             half_pi = np.full_like(delta, HALF_PI)
@@ -242,9 +244,9 @@ class TestCaseGeometry:
         assert geom.free_names == ("beta", "theta_x0", "theta_y0")
 
     def test_singleton_cases(self):
-        assert case_geometry(12).theta_x0 == "half_pi"
+        assert case_geometry(12).theta_x0 == "pi/2"
         assert case_geometry(12).beta is None
-        assert case_geometry(15).theta_x0 == "two_beta"
+        assert case_geometry(15).theta_x0 == "2*beta"
 
     def test_conflicts_force_maximal_entanglement(self):
         for cid in (1, 2, 3, 4, 5, 10, 11):
@@ -253,6 +255,15 @@ class TestCaseGeometry:
     def test_pair_cases_leave_beta_free(self):
         for cid in (6, 7, 8, 9):
             assert case_geometry(cid).beta is None
+
+    def test_hardy_rule_zeroes_q1(self):
+        assert HARDY_GEOMETRY.free_names == ("beta", "theta_x0")
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            beta = rng.uniform(0.01, HALF_PI - 0.01)
+            tx0 = rng.uniform(0.01, math.pi - 0.01)
+            scen = canonical_scenario(*HARDY_GEOMETRY.params((beta, tx0)))
+            assert abs(extract_q(quantum_box(scen)).q1) <= 1e-15
 
 
 class TestQuantumMaxima:
