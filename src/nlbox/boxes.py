@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ def _as_table(p) -> np.ndarray:
     arr = np.array(p, dtype=float)
     if arr.shape != (4, 4):
         raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise MalformedBoxError("probability table contains non-finite entries")
     return arr
 
@@ -78,6 +79,34 @@ class Box:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
+    # What validation, marginals, correlators and the IC quantities read of
+    # the table, computed on first use.  The table is a read-only copy, so
+    # these never go stale, and none depends on a tolerance.
+    @cached_property
+    def stats(self) -> np.ndarray:
+        """``row_stats`` of the table, read-only."""
+        stats = row_stats(self.p)
+        stats.setflags(write=False)
+        return stats
+
+    @cached_property
+    def check_magnitudes(self) -> np.ndarray:
+        """The 24 magnitudes of the checks of ``validate_box``, in report order."""
+        derived = np.abs(_CHECK_MAP @ self.stats.ravel() - _CHECK_OFFSET)
+        magnitudes = np.concatenate([-self.p.ravel(), derived])[_REPORT_ORDER]
+        magnitudes.setflags(write=False)
+        return magnitudes
+
+    @cached_property
+    def worst_check(self) -> float:
+        """The largest check magnitude: the box is valid within tol iff it is <= tol."""
+        return float(self.check_magnitudes.max())
+
+    @cached_property
+    def _marginal_pairs(self) -> list:
+        """P(outcome 0) per [party A/B][input][remote input], as floats."""
+        return _marginals(self.stats).tolist()
+
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.p[ROW_OF[(x, y)], ROW_OF[(a, b)]])
 
@@ -86,6 +115,11 @@ class Box:
 
     def __hash__(self) -> int:
         return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, as == does
+
+    def __reduce__(self):
+        # copies and unpickled boxes go through __post_init__, so that their
+        # table is read-only too and the derived data cannot go stale
+        return Box, (self.p,)
 
     def to_json(self) -> str:
         return json.dumps({"p": self.p.tolist()})
@@ -148,30 +182,41 @@ _CHECKS = [
 ] + [("no-signaling", f"party {party}, input {inp}") for inp in (0, 1) for party in "AB"]
 
 
+def _derived_checks(stats: np.ndarray) -> np.ndarray:
+    """Row totals and the marginal differences of A0, B0, A1, B1."""
+    m = _marginals(stats)
+    return np.concatenate([stats[:, 0], (m[..., 0] - m[..., 1]).T.ravel()])
+
+
+# _derived_checks as one (8, 16) map on the raveled row stats.  Each of its
+# rows has one or two entries +-1, so it rounds like the formula it maps.
+_CHECK_MAP = np.array([_derived_checks(unit.reshape(4, 4)) for unit in np.eye(16)]).T
+_CHECK_OFFSET = np.array([1.0] * 4 + [0.0] * 4)
+# from the order [-p raveled, |row total - 1|, |marginal difference|] to _CHECKS
+_REPORT_ORDER = np.array(
+    [k for row in range(4) for k in (*range(4 * row, 4 * row + 4), 16 + row)] + [20, 21, 22, 23])
+
+
 def validate_box(box: Box, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check positivity, normalization and no-signaling; empty list if valid."""
-    p = box.p
-    stats = row_stats(p)
-    m = _marginals(stats)
-    magnitudes = np.concatenate([
-        np.concatenate([-p, np.abs(stats[:, :1] - 1.0)], axis=1).ravel(),
-        np.abs(m[..., 0] - m[..., 1]).T.ravel(),
-    ])
+    if box.worst_check <= tol:
+        return []
+    magnitudes = box.check_magnitudes
     return [Violation(*_CHECKS[k], float(magnitudes[k]))
             for k in np.flatnonzero(magnitudes > tol)]
 
 
 def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
-    report = validate_box(box, tol)
-    if report:
-        raise InvalidBoxError("; ".join(f"{v.kind} at {v.location}" for v in report))
+    if box.worst_check > tol:
+        raise InvalidBoxError("; ".join(
+            f"{v.kind} at {v.location}" for v in validate_box(box, tol)))
 
 
 def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
     """Probability of outcome 0 for the given party/input of a no-signaling box."""
     if party not in ("A", "B") or inp not in (0, 1):
         raise ValueError(f"unknown party {party!r} or input {inp!r}")
-    m0, m1 = _marginals(row_stats(box.p))["AB".index(party), inp].tolist()
+    m0, m1 = box._marginal_pairs["AB".index(party)][inp]
     if abs(m0 - m1) > tol:
         raise SignalingError(party, inp, (m0, m1))
     return 0.5 * (m0 + m1)
@@ -180,9 +225,8 @@ def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
 def to_correlators(box: Box, tol: float = DEFAULT_TOL) -> CorrelatorForm:
     """C_X = P(a=0|X) - P(a=1|X), likewise C_Y; C_XY = P(a=b|XY) - P(a!=b|XY)."""
     require_valid(box, tol)
-    stats = row_stats(box.p)
-    c_x, c_y = (_marginals(stats).sum(axis=-1) - 1.0).tolist()
-    c_xy = (2.0 * stats[:, 3] - stats[:, 0]).reshape(2, 2).tolist()
+    c_x, c_y = (_marginals(box.stats).sum(axis=-1) - 1.0).tolist()
+    c_xy = (2.0 * box.stats[:, 3] - box.stats[:, 0]).reshape(2, 2).tolist()
     return CorrelatorForm(tuple(c_x), tuple(c_y), tuple(map(tuple, c_xy)))
 
 

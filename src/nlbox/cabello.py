@@ -41,13 +41,16 @@ CABELLO_VERTICES = HARDY_VERTICES + (
     boxes.local_vertex(1, 0, 1, 0),
     boxes.nonlocal_vertex(1, 1, 0),
 )
+# the raveled vertex tables, one per row: the Hardy vertices are the first
+# six, and a mixture is its weights times this stack, as in boxes.mix
+_VERTEX_STACK = np.array([v.p.ravel() for v in CABELLO_VERTICES])
 
 
 def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     arr = np.asarray(c, dtype=float)
     if arr.shape != (n,):
         raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise CoefficientError("non-finite coefficient")
     if arr.min() < -tol:
         raise CoefficientError(f"negative coefficient {arr.min()}")
@@ -87,13 +90,13 @@ class SuccessMetrics:
 def hardy_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the six Hardy vertices with weights c1..c6."""
     arr = check_coefficients(c, 6, tol)
-    return boxes.mix(HARDY_VERTICES, arr, tol)
+    return Box((arr @ _VERTEX_STACK[:6]).reshape(4, 4))
 
 
 def cabello_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the eleven Cabello vertices with weights c1..c11."""
     arr = check_coefficients(c, 11, tol)
-    return boxes.mix(CABELLO_VERTICES, arr, tol)
+    return Box((arr @ _VERTEX_STACK).reshape(4, 4))
 
 
 def cabello_matrix_closed_form(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:

@@ -100,7 +100,7 @@ def cmd_cabello(args) -> int:
 
 
 def cmd_ic(args) -> int:
-    if args.coeffs:
+    if args.coeffs is not None:
         c = _load_coeffs(args.coeffs)
         lhs1, lhs2 = ic.ic_cabello_lhs(c, args.tol)
     else:
@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cabello)
 
     p = sub.add_parser("ic", help="evaluate the IC conditions")
-    p.add_argument("--coeffs", help="coefficient vector (file or inline)")
-    p.add_argument("--box", help="box JSON path or - for stdin")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--coeffs", help="coefficient vector (file or inline)")
+    source.add_argument("--box", help="box JSON path or - for stdin")
     _global_flags(p)
     p.set_defaults(func=cmd_ic)
 
@@ -333,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "ic" and not (args.coeffs or args.box):
-        print("ic requires --coeffs or --box", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -7,12 +7,13 @@ r = c8-c2, s = c1+c3+c6-c7, u = c9-c4, v = c5+c6+c10.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxes import Box, DEFAULT_TOL, require_valid, row_stats
+from .boxes import Box, DEFAULT_TOL, require_valid
 from .cabello import check_coefficients, success_closed_form
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.ic.maximize
@@ -70,7 +71,7 @@ def ic_quantities(box: Box, tol: float = DEFAULT_TOL) -> ICQuantities:
     with Alice (``_a``) or Bob (``_b``) as the sender, from the agreements
     P(a=b|XY)."""
     require_valid(box, tol)
-    g00, g01, g10, g11 = row_stats(box.p)[:, 3].tolist()  # P(a=b|XY)
+    g00, g01, g10, g11 = box.stats[:, 3].tolist()  # P(a=b|XY)
     return ICQuantities(
         p_i_a=0.5 * (g00 + g10),
         p_ii_a=0.5 * (g01 + (1.0 - g11)),
@@ -198,17 +199,19 @@ def max_success_under_ic(
                         method="cutting-plane", evaluations=lps)
 
 
-def _entropy2(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _entropy(*probs: float) -> float:
+    """Shannon entropy in bits, with 0 log 0 = 0 (nonpositive terms drop)."""
+    total = 0.0
+    for p in probs:
+        if p > 0.0:
+            total += p * math.log2(p)
+    return -total
 
 
 def mutual_information(joint: np.ndarray) -> float:
     """I(X;Y) in bits from a 2x2 joint table, with 0 log 0 = 0."""
-    joint = np.asarray(joint, dtype=float)
-    return (
-        _entropy2(joint.sum(axis=1)) + _entropy2(joint.sum(axis=0)) - _entropy2(joint.ravel())
-    )
+    (a, b), (c, d) = np.asarray(joint, dtype=float).tolist()
+    return _entropy(a + b, c + d) + _entropy(a + c, b + d) - _entropy(a, b, c, d)
 
 
 def rac_simulate(box: Box, tol: float = DEFAULT_TOL) -> RACOutcome:
@@ -218,9 +221,9 @@ def rac_simulate(box: Box, tol: float = DEFAULT_TOL) -> RACOutcome:
     sends m = X0 xor a; Bob feeds Y = i and guesses X_i as m xor b.  His
     guess is right when a xor b = X*i, which happens with probability
     p_i_a (i = 0) or p_ii_a (i = 1) of ``ic_quantities`` whatever the data
-    bit, so the joint law of (X_i, guess) is [[P, 1-P], [1-P, P]] / 2.
+    bit, so the joint law of (X_i, guess) is [[P, 1-P], [1-P, P]] / 2, with
+    uniform marginals and mutual information 1 - h(P), h the binary entropy.
     """
     q = ic_quantities(box, tol)
-    mi = [mutual_information(0.5 * np.array([[p, 1.0 - p], [1.0 - p, p]]))
-          for p in (q.p_i_a, q.p_ii_a)]
-    return RACOutcome(q.p_i_a, q.p_ii_a, *mi)
+    return RACOutcome(q.p_i_a, q.p_ii_a,
+                      *(1.0 - _entropy(p, 1.0 - p) for p in (q.p_i_a, q.p_ii_a)))

@@ -1,6 +1,8 @@
 """Box representation, validation, correlators, vertices and CHSH."""
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +86,110 @@ class TestValidateBox:
         assert [(v.kind, v.location) for v in report] == [e[:2] for e in expected]
         for v, (_, _, magnitude) in zip(report, expected):
             assert abs(v.magnitude - magnitude) <= 1e-12
+
+
+# (kind, location) of the 24 checks in report order, and the concatenation
+# formula that computed their magnitudes before Box cached them: the
+# independent reference for validate_box
+REFERENCE_CHECKS = [
+    check for xy in ("00", "01", "10", "11") for check in
+    [("positivity", f"P({ab}|{xy})") for ab in ("00", "01", "10", "11")]
+    + [("normalization", f"row XY={xy}")]
+] + [("no-signaling", f"party {party}, input {inp}") for inp in (0, 1) for party in "AB"]
+
+
+def reference_report(box, tol):
+    p = box.p
+    stats = p @ np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], float).T
+    grid = stats.reshape(2, 2, 4)  # [X, Y, stat]
+    m = np.array([grid[..., 1], grid[..., 2].T])  # [party, input, remote input]
+    magnitudes = np.concatenate([
+        np.concatenate([-p, np.abs(stats[:, :1] - 1.0)], axis=1).ravel(),
+        np.abs(m[..., 0] - m[..., 1]).T.ravel(),
+    ])
+    return [(*REFERENCE_CHECKS[k], float(magnitudes[k]))
+            for k in np.flatnonzero(magnitudes > tol)]
+
+
+def seeded_tables(seed, n):
+    """Vertex mixtures, the same with noise near and far above 1e-9, and
+    uniform random tables."""
+    rng = np.random.default_rng(seed)
+    verts = np.array([v.p for v in boxes.all_local_vertices() + boxes.all_nonlocal_vertices()])
+    tables = []
+    for k in range(n):
+        p = np.tensordot(rng.dirichlet(np.full(24, 0.3)), verts, 1)
+        kind = k % 4
+        if kind == 1:
+            p = p + rng.normal(scale=1e-9, size=(4, 4)) * (rng.random((4, 4)) < 0.3)
+        elif kind == 2:
+            p = p + rng.normal(scale=0.05, size=(4, 4))
+        elif kind == 3:
+            p = rng.random((4, 4)) / 2
+        tables.append(p)
+    return tables
+
+
+class TestDerivedCache:
+    def test_reports_match_the_concatenation_formula(self):
+        for p in seeded_tables(21, 400):
+            box = Box(p)
+            for tol in (-np.inf, 0.0, 1e-12, 1e-9, 0.1):
+                got = [(v.kind, v.location, v.magnitude) for v in validate_box(box, tol)]
+                want = reference_report(box, tol)
+                assert got == want  # magnitudes compared exactly
+                assert (box.worst_check <= tol) == (want == [])
+
+    @staticmethod
+    def near_box():
+        """The PR box with P(01|00) = -1e-10 and P(10|00) = 1e-10: the
+        entry and the marginals of A0 and B0 are off by 1e-10."""
+        p = np.array(pr_box().p)
+        p[0, 1], p[0, 2] = -1e-10, 1e-10
+        return Box(p)
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-12), (1e-12, 1e-9)])
+    def test_validation_applies_each_calls_tol(self, tols):
+        box = self.near_box()
+        for tol in tols:
+            report = validate_box(box, tol)
+            if tol == 1e-9:
+                assert report == []
+                boxes.require_valid(box, tol)
+            else:
+                assert ("positivity", "P(01|00)", 1e-10) in [
+                    (v.kind, v.location, v.magnitude) for v in report]
+                with pytest.raises(boxes.InvalidBoxError, match="positivity at P\\(01\\|00\\)"):
+                    boxes.require_valid(box, tol)
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-12), (1e-12, 1e-9)])
+    def test_marginal_applies_each_calls_tol(self, tols):
+        box = self.near_box()
+        for tol in tols:
+            if tol == 1e-9:
+                assert abs(marginal(box, "A", 0, tol) - 0.5) <= 1e-10
+            else:
+                with pytest.raises(SignalingError):
+                    marginal(box, "A", 0, tol)
+
+    @pytest.mark.parametrize("tols", [(1e-9, 1e-12), (1e-12, 1e-9)])
+    def test_ic_quantities_applies_each_calls_tol(self, tols):
+        from nlbox.ic import ic_quantities
+
+        box = self.near_box()
+        for tol in tols:
+            if tol == 1e-9:
+                assert ic_quantities(box, tol).p_i_a == 1.0
+            else:
+                with pytest.raises(boxes.InvalidBoxError):
+                    ic_quantities(box, tol)
+
+    def test_derived_data_is_read_only(self):
+        box = pr_box()
+        with pytest.raises(ValueError):
+            box.stats[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            box.check_magnitudes[0] = 0.0
 
 
 class TestCorrelators:
@@ -306,6 +412,13 @@ class TestHash:
 
 
 class TestSerialization:
+    def test_copies_keep_a_read_only_table(self):
+        box = pr_box()
+        assert box.worst_check == 0.0
+        for again in (pickle.loads(pickle.dumps(box)), copy.copy(box), copy.deepcopy(box)):
+            assert again == box and not again.p.flags.writeable
+            assert again.worst_check == 0.0
+
     def test_json_round_trip(self):
         box = pr_box()
         again = Box.from_json(box.to_json())

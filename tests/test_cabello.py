@@ -7,6 +7,8 @@ import pytest
 
 from nlbox import boxes
 from nlbox.cabello import (
+    CABELLO_VERTICES,
+    HARDY_VERTICES,
     CoefficientError,
     cabello_box,
     cabello_matrix_closed_form,
@@ -90,6 +92,16 @@ class TestCabelloBox:
             cabello_box(coeffs(c1=1.2, c2=-0.2))
         with pytest.raises(CoefficientError):
             cabello_box(np.ones(10) / 10)
+
+
+class TestVertexStack:
+    @pytest.mark.parametrize("family, vertices, n", [
+        (hardy_box, HARDY_VERTICES, 6), (cabello_box, CABELLO_VERTICES, 11)])
+    def test_family_box_is_the_vertex_mixture(self, family, vertices, n):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            c = rng.dirichlet(np.full(n, 0.5))
+            assert np.abs(family(c).p - boxes.mix(vertices, c).p).max() <= 2.2e-16
 
 
 class TestClosedFormMatrix:

@@ -110,6 +110,14 @@ class TestCoefficientCommands:
         payload = json.loads(proc.stdout)
         assert payload["lhs1"] == 2.0 and payload["satisfied"] is False
 
+    def test_ic_coeffs_and_box_together_is_usage_error(self):
+        proc = run_cli("ic", "--coeffs", "0,0,0,0,0,0,0,0,0,0,1", "--box", "-",
+                       stdin=pr_box().to_json())
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == ["nlbox ic: error: argument --box: not allowed with argument --coeffs"]
+
     def test_rac_on_pr_box(self):
         proc = run_cli("rac", "--box", "-", stdin=pr_box().to_json())
         assert json.loads(proc.stdout)["total"] == 2.0

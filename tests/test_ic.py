@@ -183,6 +183,23 @@ class TestMutualInformation:
     def test_independence(self):
         assert abs(mutual_information(np.full((2, 2), 0.25))) <= 1e-12
 
+    @staticmethod
+    def numpy_reference(joint):
+        def entropy(p):
+            p = p[p > 0]
+            return float(-(p * np.log2(p)).sum())
+        return entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - entropy(joint.ravel())
+
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(12)
+        for k in range(2000):
+            joint = rng.dirichlet(np.full(4, 0.5))
+            joint[rng.random(4) < 0.25 * (k % 4)] = 0.0  # zero entries, up to all four
+            if joint.sum() > 0:
+                joint /= joint.sum()
+            joint = joint.reshape(2, 2)
+            assert abs(mutual_information(joint) - self.numpy_reference(joint)) <= 1e-15
+
 
 def rac_by_enumeration(box):
     """The 2->1 RAC over the box, enumerated over Alice's data bits (X0, X1)
@@ -212,6 +229,15 @@ class TestRac:
             out = rac_simulate(box)
             assert abs(out.p_bit0 - p0) <= 1e-15 and abs(out.p_bit1 - p1) <= 1e-15
             assert abs(out.mi_bit0 - mi0) <= 1e-14 and abs(out.mi_bit1 - mi1) <= 1e-14
+
+    def test_mutual_information_is_one_minus_binary_entropy(self):
+        rng = np.random.default_rng(16)
+        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        for _ in range(500):
+            out = rac_simulate(boxes.mix(verts, rng.dirichlet(np.full(24, 0.3))))
+            for p, mi in ((out.p_bit0, out.mi_bit0), (out.p_bit1, out.mi_bit1)):
+                joint = 0.5 * np.array([[p, 1.0 - p], [1.0 - p, p]])
+                assert abs(mi - TestMutualInformation.numpy_reference(joint)) <= 1e-15
 
     def test_pr_box_gives_two_bits(self):
         out = rac_simulate(boxes.pr_box())
