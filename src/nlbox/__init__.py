@@ -20,7 +20,6 @@ from .boxes import (
 from .cabello import (
     SuccessMetrics,
     cabello_box,
-    cabello_matrix_closed_form,
     check_cabello_conditions,
     extract_q,
     hardy_box,
@@ -36,7 +35,6 @@ from .ic import (
     ic_quantities,
     max_success_under_ic,
     rac_simulate,
-    rsuv,
 )
 from .localrandom import (
     feasibility_witness,

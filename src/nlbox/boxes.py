@@ -60,7 +60,10 @@ class InfeasibleCorrelatorError(BoxError):
 
 
 def _as_table(p) -> np.ndarray:
-    arr = np.array(p, dtype=float)
+    try:
+        arr = np.array(p, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedBoxError(f"probability table must be numbers: {exc}") from None
     if arr.shape != (4, 4):
         raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -5,7 +5,8 @@ q1 = P(00|00), q2 = P(11|01), q3 = P(11|10), q4 = P(11|11); the argument
 runs when q2 = q3 = 0 and q4 > q1.  Hardy boxes mix five local vertices
 with the nonlocal vertex (0,0,1); Cabello boxes add four more local
 vertices and the nonlocal vertex (1,1,0), with weights c1..c11 on the
-simplex.
+simplex.  A mixture's table is c @ _VERTEX_STACK, so every linear form of
+the table, q4 - q1 among them, is the form's value at each vertex dotted with c.
 """
 from __future__ import annotations
 
@@ -44,10 +45,18 @@ CABELLO_VERTICES = HARDY_VERTICES + (
 # the raveled vertex tables, one per row: the Hardy vertices are the first
 # six, and a mixture is its weights times this stack, as in boxes.mix
 _VERTEX_STACK = np.array([v.p.ravel() for v in CABELLO_VERTICES])
+_SUCCESS = _VERTEX_STACK[:, 15] - _VERTEX_STACK[:, 0]  # q4 - q1 = P(11|11) - P(00|00)
+
+
+def _as_coefficients(c) -> np.ndarray:
+    try:
+        return np.asarray(c, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"coefficients must be numbers: {exc}") from None
 
 
 def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
+    arr = _as_coefficients(c)
     if arr.shape != (n,):
         raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -61,7 +70,7 @@ def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> 
 
 def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
     """Checked c1..c11 from 6 Hardy weights (c7..c11 = 0) or 11 Cabello ones."""
-    c = np.asarray(c, dtype=float)
+    c = _as_coefficients(c)
     if c.shape == (6,):
         c = np.concatenate([c, np.zeros(5)])
     return check_coefficients(c, 11)
@@ -99,22 +108,8 @@ def cabello_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     return Box((arr @ _VERTEX_STACK).reshape(4, 4))
 
 
-def cabello_matrix_closed_form(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
-    """Closed-form table for the Cabello mixture; equals cabello_box entrywise."""
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = check_coefficients(c, 11, tol)
-    local_part = np.array([
-        [c7 + c8 + c9 + c10, c1 + c2,        c3 + c4,        c5],
-        [c2 + c7 + c9,       c1 + c8 + c10,  c3 + c4 + c5,   0.0],
-        [c4 + c7 + c8,       c1 + c2 + c5,   c3 + c9 + c10,  0.0],
-        [c2 + c4 + c5 + c7,  c1 + c8,        c3 + c9,        c10],
-    ])
-    nonlocal_part = 0.5 * np.array([
-        [c11, c6,       c6,       c11],
-        [0.0, c6 + c11, c6 + c11, 0.0],
-        [0.0, c6 + c11, c6 + c11, 0.0],
-        [c6,  c11,      c11,      c6],
-    ])
-    return Box(local_part + nonlocal_part)
+# perfbench/workloads.py still calls the Cabello table by this name
+cabello_matrix_closed_form = cabello_box
 
 
 def extract_q(box: Box) -> SuccessMetrics:
@@ -127,9 +122,8 @@ def extract_q(box: Box) -> SuccessMetrics:
 
 
 def success_closed_form(c: Sequence[float]) -> float:
-    """q4 - q1 = c6/2 + c10 - (c7 + c8 + c9 + c10 + c11/2)."""
-    c = np.asarray(c, dtype=float)
-    return float(0.5 * c[5] + c[9] - (c[6] + c[7] + c[8] + c[9] + 0.5 * c[10]))
+    """q4 - q1 of the Cabello mixture with weights c1..c11."""
+    return float(_SUCCESS @ c)
 
 
 def check_cabello_conditions(
@@ -146,19 +140,16 @@ def ns_max_success(
 ) -> tuple[float, np.ndarray]:
     """No-signaling maximum of the success probability with its witness.
 
-    The feasible set is the coefficient simplex itself and q4 - q1 is linear
-    in the weights, so the maximum is the largest value of
-    ``success_closed_form`` over the 6 (Hardy) or 11 (Cabello) vertices of
-    the simplex: 0.5, at c6 = 1, for both arguments.  The Hardy vertices are
-    the first six Cabello vertices and q1 vanishes on them, so one closed
-    form serves both.  ``restarts`` and ``seed`` have no effect; they are
-    accepted so that existing callers keep working.
+    q4 - q1 = _SUCCESS @ c is linear on the coefficient simplex, so the
+    maximum is the best of its 6 (Hardy) or 11 (Cabello) vertices: 0.5, at
+    c6 = 1, for both arguments (the Hardy vertices are the first six).
+    ``restarts`` and ``seed`` have no effect; they are accepted so that
+    existing callers keep working.
     """
     if argument not in ("hardy", "cabello"):
         raise ValueError(f"unknown argument {argument!r}")
     dim = 6 if argument == "hardy" else 11
-    values = [success_closed_form(e) for e in np.eye(11)[:dim]]
-    best = int(np.argmax(values))
+    best = int(np.argmax(_SUCCESS[:dim]))
     witness = np.zeros(dim)
     witness[best] = 1.0
-    return values[best], witness
+    return float(_SUCCESS[best]), witness

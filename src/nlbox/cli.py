@@ -21,11 +21,17 @@ from .boxes import Box
 CHECK_FAILURE = 1
 
 
+def tolerance(text: str) -> float:
+    if not 0.0 <= float(text) < math.inf:  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    return float(text)
+
+
 def _global_flags(parser: argparse.ArgumentParser) -> None:
     # argparse converts a string default with ``type``, so a malformed
     # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
     parser.add_argument("--seed", type=int, default=os.environ.get("NLBOX_SEED", "0"))
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=tolerance, default=1e-9)
     parser.add_argument("--restarts", type=int, default=64)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", type=str, default=None)

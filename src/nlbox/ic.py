@@ -2,19 +2,19 @@
 
 A violation of either quadratic bias condition (one per signaling
 direction) implies a violation of Information Causality.  For Cabello
-mixtures the two conditions reduce to quadratics in the linear forms
-r = c8-c2, s = c1+c3+c6-c7, u = c9-c4, v = c5+c6+c10.
+mixtures the biases E_I, E_II, F_I, F_II are linear in the weights c1..c11,
+with the vertex boxes' biases as coefficients, so both are quadratics in c.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .boxes import Box, DEFAULT_TOL, require_valid
-from .cabello import check_coefficients, success_closed_form
+from .cabello import CABELLO_VERTICES, _SUCCESS, check_coefficients, success_closed_form
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.ic.maximize
 from .search import DomainError, SearchResult, maximize
@@ -94,22 +94,12 @@ def ic_ba_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:
     return ICCheck(lhs=lhs, satisfied=lhs <= 1.0 + tol)
 
 
-@dataclass(frozen=True)
-class RSUV:
-    r: float
-    s: float
-    u: float
-    v: float
-
-
-def rsuv(c: Sequence[float], tol: float = DEFAULT_TOL) -> RSUV:
-    c = check_coefficients(c, 11, tol)
-    return RSUV(
-        r=float(c[7] - c[1]),
-        s=float(c[0] + c[2] + c[5] - c[6]),
-        u=float(c[8] - c[3]),
-        v=float(c[4] + c[5] + c[9]),
-    )
+# Rows E_I, E_II, F_I, F_II of the biases at the eleven vertices: the biases
+# of the Cabello box with weights c are _BIASES @ c, and the IC conditions
+# are |M @ c| <= 1 for the maps M in _BIAS_FORMS.  Both vanish at c11 = 1.
+_BIASES = np.array([[q.e_i, q.e_ii, q.f_i, q.f_ii]
+                    for q in map(ic_quantities, CABELLO_VERTICES)]).T
+_BIAS_FORMS = (_BIASES[:2], _BIASES[2:])
 
 
 def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -118,16 +108,10 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
     The first equals E_I^2 + E_II^2 and the second F_I^2 + F_II^2 of the
     corresponding Cabello box.
     """
-    q = rsuv(c, tol)
-    return (q.r - q.s) ** 2 + (q.u - q.v) ** 2, (q.u - q.s) ** 2 + (q.r - q.v) ** 2
+    e_i, e_ii, f_i, f_ii = (_BIASES @ check_coefficients(c, 11, tol)).tolist()
+    return e_i ** 2 + e_ii ** 2, f_i ** 2 + f_ii ** 2
 
 
-# q4 - q1 = _SUCCESS @ c, and the IC conditions are |M @ c| <= 1 for the maps
-# M: c -> (r - s, u - v) and c -> (u - s, r - v), read off rsuv at the
-# simplex vertices.  Both maps vanish at c11 = 1.
-_SUCCESS = np.array([success_closed_form(e) for e in np.eye(11)])
-_RSUV = np.array([[q.r, q.s, q.u, q.v] for q in map(rsuv, np.eye(11))]).T
-_BIAS_FORMS = (_RSUV[[0, 2]] - _RSUV[[1, 3]], _RSUV[[2, 0]] - _RSUV[[1, 3]])
 _C11 = np.eye(11)[10]
 _GAP_TOL = 1e-9
 
@@ -206,12 +190,6 @@ def _entropy(*probs: float) -> float:
         if p > 0.0:
             total += p * math.log2(p)
     return -total
-
-
-def mutual_information(joint: np.ndarray) -> float:
-    """I(X;Y) in bits from a 2x2 joint table, with 0 log 0 = 0."""
-    (a, b), (c, d) = np.asarray(joint, dtype=float).tolist()
-    return _entropy(a + b, c + d) + _entropy(a + c, b + d) - _entropy(a, b, c, d)
 
 
 def rac_simulate(box: Box, tol: float = DEFAULT_TOL) -> RACOutcome:

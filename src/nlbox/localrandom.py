@@ -19,19 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boxes import Box, DEFAULT_TOL, marginal
-from .cabello import cabello_box, check_coefficients
+from .cabello import cabello_box
 from .ic import ic_cabello_lhs
 from .search import _SimplexMap
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
-
-# marginal-1/2 condition of a single input, one equation suffices per input
-_INPUT_RELATION = {
-    "0_A": "c1 + c2 + c7 + c8 + c9 + c10 = eta",
-    "1_A": "c3 + c9 + c10 = eta",
-    "0_B": "c3 + c4 + c7 + c8 + c9 + c10 = eta",
-    "1_B": "c1 + c8 + c10 = eta",
-}
 
 # the 15 case rows: locally random inputs and their coefficient relations
 _CASE_TABLE: dict[int, tuple[tuple[str, ...], list[str]]] = {
@@ -153,13 +145,6 @@ def lr_constraints(case_id: int) -> ConstraintSystem:
     )
 
 
-def input_constraint(inp: str) -> tuple[np.ndarray, float]:
-    """Single-input marginal-1/2 condition as one affine row."""
-    if inp not in _INPUT_RELATION:
-        raise ValueError(f"unknown input {inp!r}")
-    return _relation_row(_INPUT_RELATION[inp])
-
-
 def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
     """True iff the input's outcome marginal is 1/2 for either remote input."""
     if inp not in LR_INPUTS:
@@ -232,7 +217,6 @@ def verify_table2(
         rows = load_table2_fixture()
     out = []
     for row in rows:
-        check_coefficients(row.c, 11)
         lhs = ic_cabello_lhs(row.c)
         system = lr_constraints(row.case_id)
         out.append(

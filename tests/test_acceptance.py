@@ -11,11 +11,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import reference
 from nlbox import boxes
 from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.cabello import (
     cabello_box,
-    cabello_matrix_closed_form,
     extract_q,
     ns_max_success,
 )
@@ -142,16 +142,20 @@ def test_criterion_6_table3():
 
 
 def test_criterion_7_algebra_cross_check():
+    # the hand-written r, s, u, v quadratics and closed-form table of
+    # tests/reference.py against the box layer on the vertex stack
     with criterion(7, "coefficient-level IC and closed-form matrix match box level"):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             c = rng.dirichlet(np.ones(11))
             box = cabello_box(c)
             lhs1, lhs2 = ic_cabello_lhs(c)
+            hand1, hand2 = reference.ic_lhs(c)
             q = ic_quantities(box)
-            assert abs(lhs1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
-            assert abs(lhs2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
-            assert np.max(np.abs(cabello_matrix_closed_form(c).p - box.p)) <= 1e-12
+            assert abs(lhs1 - hand1) <= 1e-12 and abs(lhs2 - hand2) <= 1e-12
+            assert abs(hand1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
+            assert abs(hand2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
+            assert np.max(np.abs(reference.cabello_table(c) - box.p)) <= 1e-12
 
 
 def test_criterion_8_local_randomness_equivalence():

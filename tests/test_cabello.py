@@ -5,13 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 from nlbox import boxes
 from nlbox.cabello import (
     CABELLO_VERTICES,
     HARDY_VERTICES,
     CoefficientError,
     cabello_box,
-    cabello_matrix_closed_form,
     check_cabello_conditions,
     coefficients_from_json,
     extract_q,
@@ -44,8 +44,7 @@ class TestHardyBox:
         box = hardy_box([0.1, 0.1, 0.1, 0.1, 0.1, 0.5])
         assert abs(box.prob(1, 1, 1, 1) - 0.25) < 1e-15
         padded = np.concatenate([[0.1] * 5 + [0.5], np.zeros(5)])
-        np.testing.assert_allclose(box.p, cabello_matrix_closed_form(padded).p,
-                                   atol=1e-15)
+        np.testing.assert_allclose(box.p, reference.cabello_table(padded), atol=1e-15)
 
     def test_hardy_zeros(self):
         rng = np.random.default_rng(0)
@@ -105,13 +104,15 @@ class TestVertexStack:
 
 
 class TestClosedFormMatrix:
+    """The hand-written table of tests/reference.py against the vertex stack."""
+
     def test_pure_c7_corner(self):
-        box = cabello_matrix_closed_form(coeffs(c7=1))
+        box = boxes.Box(reference.cabello_table(coeffs(c7=1)))
         assert box == boxes.local_vertex(0, 0, 0, 0)
         np.testing.assert_array_equal(box.p[:, 0], 1.0)
 
     def test_pure_c6_corner(self):
-        box = cabello_matrix_closed_form(coeffs(c6=1))
+        box = boxes.Box(reference.cabello_table(coeffs(c6=1)))
         assert box == boxes.nonlocal_vertex(0, 0, 1)
 
     def test_equals_vertex_mixture(self):
@@ -119,7 +120,7 @@ class TestClosedFormMatrix:
         for _ in range(200):
             c = rng.dirichlet(np.ones(11))
             np.testing.assert_allclose(
-                cabello_matrix_closed_form(c).p, cabello_box(c).p, atol=1e-12
+                reference.cabello_table(c), cabello_box(c).p, atol=1e-12
             )
 
 
@@ -129,7 +130,7 @@ class TestExtractQ:
         for _ in range(200):
             c = rng.dirichlet(np.ones(11))
             q = extract_q(cabello_box(c))
-            expected = 0.5 * c[5] + c[9] - (c[6] + c[7] + c[8] + c[9] + 0.5 * c[10])
+            expected = reference.success(c)
             assert abs(q.success - expected) <= 1e-12
             assert abs(success_closed_form(c) - expected) <= 1e-15
 

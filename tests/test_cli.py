@@ -76,6 +76,40 @@ class TestValidate:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
+class TestNonNumericInput:
+    @pytest.mark.parametrize("args, data", [
+        (("cabello", "--coeffs"), {"c": {"a": 1}}),
+        (("cabello", "--coeffs"), {"c": [{"a": 1}, 0, 0, 0, 0, 0]}),
+        (("ic", "--coeffs"), {"c": [{"a": 1}] + [0] * 10}),
+        (("validate",), {"p": {"a": 1}}),
+        (("ic", "--box"), {"p": {"a": 1}}),
+        (("rac", "--box"), {"p": [[{"a": 1}] * 4] * 4}),
+    ])
+    def test_is_usage_error(self, tmp_path, args, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli(*args, str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+class TestTolerance:
+    BAD = json.dumps({"p": [[1.0, 0.1, 0.1, 0.1]] + [[0.25] * 4] * 3})
+
+    @pytest.mark.parametrize("command", ["validate", "rac --box"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+    def test_non_finite_negative_or_text_is_usage_error(self, command, tol):
+        proc = run_cli(*command.split(), "-", "--tol", tol, stdin=self.BAD)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "argument --tol: " in proc.stderr and repr(tol) in proc.stderr
+
+    def test_zero_is_accepted(self):
+        proc = run_cli("validate", "-", "--tol", "0", stdin=self.BAD)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["valid"] is False
+
+
 class TestCoefficientCommands:
     def test_cabello_inline_coeffs(self):
         proc = run_cli("cabello", "--coeffs", "0,0,0,0,0,1")

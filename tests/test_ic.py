@@ -2,17 +2,17 @@
 import numpy as np
 import pytest
 
+import reference
 from nlbox import boxes
-from nlbox.cabello import cabello_box
+from nlbox.cabello import _SUCCESS, cabello_box
 from nlbox.ic import (
+    _BIASES,
     ic_ab_satisfied,
     ic_ba_satisfied,
     ic_cabello_lhs,
     ic_quantities,
     max_success_under_ic,
-    mutual_information,
     rac_simulate,
-    rsuv,
 )
 from nlbox.localrandom import lr_cases, lr_constraints
 from nlbox.search import DomainError
@@ -70,13 +70,22 @@ class TestConditions:
 
 
 class TestCoefficientLevel:
+    """The vertex-stack forms of nlbox against the hand-written r, s, u, v
+    forms of tests/reference.py."""
+
+    def test_vertex_stack_rows_are_the_hand_rows(self):
+        eye = np.eye(11)
+        np.testing.assert_array_equal(_SUCCESS, [reference.success(e) for e in eye])
+        np.testing.assert_array_equal(_BIASES, np.array([reference.biases(e) for e in eye]).T)
+
     def test_rsuv_examples(self):
-        q = rsuv(coeffs(c5=0.1, c10=0.1, c11=0.8))
-        assert (q.r, q.s, q.u, q.v) == (0.0, 0.0, 0.0, 0.2)
-        q = rsuv(coeffs(c11=1))
-        assert (q.r, q.s, q.u, q.v) == (0.0, 0.0, 0.0, 0.0)
-        q = rsuv(coeffs(c5=0.4, c6=0.2, c9=0.4))
-        assert np.allclose((q.r, q.s, q.u, q.v), (0.0, 0.2, 0.4, 0.6), atol=1e-15)
+        assert reference.rsuv(coeffs(c5=0.1, c10=0.1, c11=0.8)) == (0.0, 0.0, 0.0, 0.2)
+        assert reference.rsuv(coeffs(c11=1)) == (0.0, 0.0, 0.0, 0.0)
+        np.testing.assert_allclose(reference.rsuv(coeffs(c5=0.4, c6=0.2, c9=0.4)),
+                                   (0.0, 0.2, 0.4, 0.6), rtol=0, atol=1e-15)
+        for c in (coeffs(c5=0.1, c10=0.1, c11=0.8), coeffs(c11=1),
+                  coeffs(c5=0.4, c6=0.2, c9=0.4)):
+            np.testing.assert_allclose(_BIASES @ c, reference.biases(c), rtol=0, atol=1e-15)
 
     def test_lhs_spot_values(self):
         lhs = ic_cabello_lhs(coeffs(c5=0.1, c10=0.1, c11=0.8))
@@ -91,9 +100,11 @@ class TestCoefficientLevel:
         for _ in range(200):
             c = rng.dirichlet(np.ones(11))
             lhs1, lhs2 = ic_cabello_lhs(c)
+            hand1, hand2 = reference.ic_lhs(c)
             q = ic_quantities(cabello_box(c))
-            assert abs(lhs1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
-            assert abs(lhs2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
+            assert abs(lhs1 - hand1) <= 1e-12 and abs(lhs2 - hand2) <= 1e-12
+            assert abs(hand1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
+            assert abs(hand2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
 
 
 IC_BOUND = (np.sqrt(2) - 1) / 2
@@ -178,10 +189,10 @@ class TestMaxUnderIC:
 
 class TestMutualInformation:
     def test_perfect_correlation(self):
-        assert abs(mutual_information([[0.5, 0.0], [0.0, 0.5]]) - 1.0) <= 1e-12
+        assert abs(reference.mutual_information([[0.5, 0.0], [0.0, 0.5]]) - 1.0) <= 1e-12
 
     def test_independence(self):
-        assert abs(mutual_information(np.full((2, 2), 0.25))) <= 1e-12
+        assert abs(reference.mutual_information(np.full((2, 2), 0.25))) <= 1e-12
 
     @staticmethod
     def numpy_reference(joint):
@@ -198,7 +209,7 @@ class TestMutualInformation:
             if joint.sum() > 0:
                 joint /= joint.sum()
             joint = joint.reshape(2, 2)
-            assert abs(mutual_information(joint) - self.numpy_reference(joint)) <= 1e-15
+            assert abs(reference.mutual_information(joint) - self.numpy_reference(joint)) <= 1e-15
 
 
 def rac_by_enumeration(box):
@@ -216,7 +227,7 @@ def rac_by_enumeration(box):
                         guess = x0 ^ a ^ b
                         joints[i][data[i], guess] += 0.25 * box.prob(a, b, x0 ^ x1, i)
     return ([j[0, 0] + j[1, 1] for j in joints],
-            [mutual_information(j) for j in joints])
+            [reference.mutual_information(j) for j in joints])
 
 
 class TestRac:

@@ -2,15 +2,16 @@
 import numpy as np
 import pytest
 
+import reference
 from nlbox import boxes
-from nlbox.cabello import cabello_box
+from nlbox.boxes import marginal
+from nlbox.cabello import CABELLO_VERTICES, cabello_box
 from nlbox.ic import ic_cabello_lhs
 from nlbox.search import _FEAS_TOL, _SimplexMap
 from nlbox.localrandom import (
     LR_INPUTS,
     case_inputs,
     feasibility_witness,
-    input_constraint,
     is_locally_random,
     load_table2_fixture,
     lr_cases,
@@ -25,6 +26,13 @@ def coeffs(**kv):
     for name, val in kv.items():
         c[int(name[1:]) - 1] = val
     return c
+
+
+def input_row(inp):
+    """The input's marginal-1/2 condition as one affine row: its P(outcome 0)
+    at each Cabello vertex, which the weights must average to 1/2."""
+    party, x = inp[-1], int(inp[0])
+    return np.array([marginal(v, party, x) for v in CABELLO_VERTICES]), 0.5
 
 
 class TestIsLocallyRandom:
@@ -102,22 +110,23 @@ class TestConstraintMarginalEquivalence:
                 checked += 1
 
     def test_single_input_rows(self):
-        # each input's affine row holds iff its marginal is 1/2
+        # each input's affine row, from the vertex marginals and from the
+        # hand relation, holds iff its marginal is 1/2
         rng = np.random.default_rng(77)
         for _ in range(200):
             c = rng.dirichlet(np.ones(11))
             box = cabello_box(c)
             for inp in LR_INPUTS:
-                row, rhs = input_constraint(inp)
-                assert (abs(row @ c - rhs) <= 1e-9) == is_locally_random(
-                    box, inp, tol=1e-9
-                )
+                for row, rhs in (input_row(inp), reference.input_row(inp)):
+                    assert (abs(row @ c - rhs) <= 1e-9) == is_locally_random(
+                        box, inp, tol=1e-9
+                    )
 
 
 def stacked_input_rows(case_id):
     """The case's system composed from the single-input rows: the
-    input_constraint rows of its inputs and the simplex row, as [A | b]."""
-    rows = [np.append(*input_constraint(inp)) for inp in case_inputs(case_id)]
+    vertex-marginal rows of its inputs and the simplex row, as [A | b]."""
+    rows = [np.append(*input_row(inp)) for inp in case_inputs(case_id)]
     return np.vstack(rows + [np.append(np.ones(11), 1.0)])
 
 

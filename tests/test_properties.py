@@ -1,10 +1,12 @@
 """Property tests over the box layer: correlator round trips, the closed-form
-Cabello table and the coefficient-level IC conditions."""
+Cabello table and the coefficient-level IC conditions (both hand-written, in
+tests/reference.py)."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import reference
 from nlbox import boxes
-from nlbox.cabello import cabello_box, cabello_matrix_closed_form
+from nlbox.cabello import cabello_box
 from nlbox.ic import ic_cabello_lhs, ic_quantities
 
 # fixed examples, no deadline: the Tier-1 suite stays deterministic
@@ -31,13 +33,15 @@ def test_correlator_round_trip_on_mixtures(w):
 @PROPERTY
 @given(simplex_points(11))
 def test_cabello_box_matches_closed_form(c):
-    assert np.abs(cabello_box(c).p - cabello_matrix_closed_form(c).p).max() <= 1e-12
+    assert np.abs(cabello_box(c).p - reference.cabello_table(c)).max() <= 1e-12
 
 
 @PROPERTY
 @given(simplex_points(11))
 def test_coefficient_level_ic_matches_box_level(c):
     lhs1, lhs2 = ic_cabello_lhs(c)
+    hand1, hand2 = reference.ic_lhs(c)
     q = ic_quantities(cabello_box(c))
-    assert abs(lhs1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
-    assert abs(lhs2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
+    assert abs(lhs1 - hand1) <= 1e-12 and abs(lhs2 - hand2) <= 1e-12
+    assert abs(hand1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
+    assert abs(hand2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
