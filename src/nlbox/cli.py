@@ -1,8 +1,8 @@
 """Command-line interface reproducing the reference tables and bounds.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  Output goes to
-stdout (JSON by default, CSV for tables with --format csv); diagnostics
-to stderr.
+stdout (JSON by default, CSV with --format csv on vertex and the tables);
+diagnostics to stderr.
 """
 from __future__ import annotations
 
@@ -25,16 +25,6 @@ def tolerance(text: str) -> float:
     if not 0.0 <= float(text) < math.inf:  # nan fails both comparisons
         raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
     return float(text)
-
-
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    # argparse converts a string default with ``type``, so a malformed
-    # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
-    parser.add_argument("--seed", type=int, default=os.environ.get("NLBOX_SEED", "0"))
-    parser.add_argument("--tol", type=tolerance, default=1e-9)
-    parser.add_argument("--restarts", type=int, default=64)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", type=str, default=None)
 
 
 def _emit(args, text: str) -> None:
@@ -72,21 +62,18 @@ def cmd_validate(args) -> int:
     return 0 if not report else CHECK_FAILURE
 
 
+_VERTICES = {"local": (4, boxes.local_vertex), "nonlocal": (3, boxes.nonlocal_vertex)}
+
+
 def cmd_vertex(args) -> int:
-    bits = args.bits
-    if any(b not in (0, 1) for b in bits):
-        print(f"label bits must be 0 or 1, got {bits}", file=sys.stderr)
+    n_bits, make = _VERTICES[args.kind]
+    if any(b not in (0, 1) for b in args.bits):
+        print(f"label bits must be 0 or 1, got {args.bits}", file=sys.stderr)
         return 2
-    if args.kind == "local":
-        if len(bits) != 4:
-            print("local vertices take 4 bits", file=sys.stderr)
-            return 2
-        box = boxes.local_vertex(*bits)
-    else:
-        if len(bits) != 3:
-            print("nonlocal vertices take 3 bits", file=sys.stderr)
-            return 2
-        box = boxes.nonlocal_vertex(*bits)
+    if len(args.bits) != n_bits:
+        print(f"{args.kind} vertices take {n_bits} bits", file=sys.stderr)
+        return 2
+    box = make(*args.bits)
     _emit(args, box.to_csv() if args.format == "csv" else box.to_json())
     return 0
 
@@ -150,18 +137,16 @@ def cmd_lr_case(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = []
-    for cid in lr.lr_cases():
-        system = lr.lr_constraints(cid)
-        rows.append((cid, ",".join(system.inputs), "; ".join(system.relations)))
+    systems = [lr.lr_constraints(cid) for cid in lr.lr_cases()]
     if args.format == "csv":
         lines = ["case,inputs,relations"]
-        lines += [f'{cid},"{inp}","{rel}"' for cid, inp, rel in rows]
+        lines += [f'{s.case_id},"{",".join(s.inputs)}","{"; ".join(s.relations)}"'
+                  for s in systems]
         _emit(args, "\n".join(lines))
     else:
         _emit(args, json.dumps([
-            {"case": cid, "inputs": inp.split(","), "relations": rel.split("; ")}
-            for cid, inp, rel in rows
+            {"case": s.case_id, "inputs": list(s.inputs), "relations": list(s.relations)}
+            for s in systems
         ]))
     return 0
 
@@ -224,9 +209,7 @@ def cmd_table3(args) -> int:
              "witness_beta,witness_theta_x0,witness_theta_y0"]
     rows = []
     for cid in lr.lr_cases():
-        result, scen, geom = quantum.max_cabello_qm(
-            cid, restarts=args.restarts, seed=args.seed
-        )
+        result, scen, geom = quantum.max_cabello_qm(cid)
         beta_label = "pi/4" if geom.beta is not None else "free"
         rows.append({
             "case": cid,
@@ -252,10 +235,10 @@ def cmd_max(args) -> int:
         print("--case is only valid with --model qm", file=sys.stderr)
         return 2
     if args.model == "ns":
-        value, witness = cabello.ns_max_success("cabello", seed=args.seed)
+        value, witness = cabello.ns_max_success()
         payload = {"model": "ns", "value": value, "witness": witness.tolist()}
     elif args.model == "ic":
-        res = ic.max_success_under_ic(restarts=args.restarts, seed=args.seed)
+        res = ic.max_success_under_ic()
         payload = {
             "model": "ic", "value": res.value,
             "witness": res.point.tolist(),
@@ -264,16 +247,14 @@ def cmd_max(args) -> int:
             "upper_bound": res.upper_bound,
         }
     elif args.model == "qm":
-        res, scen, _ = quantum.max_cabello_qm(
-            args.case, restarts=args.restarts, seed=args.seed
-        )
+        res, scen, _ = quantum.max_cabello_qm(args.case)
         payload = {
             "model": "qm", "case": args.case, "value": res.value,
             "witness": _witness(scen, with_gamma=True),
             "converged": res.converged,
         }
     else:  # qm-hardy
-        res, scen = quantum.max_hardy_qm(restarts=args.restarts, seed=args.seed)
+        res, scen = quantum.max_hardy_qm()
         payload = {
             "model": "qm-hardy", "value": res.value, "witness": _witness(scen),
             "converged": res.converged,
@@ -283,58 +264,52 @@ def cmd_max(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse converts a string default with ``type``, so a malformed
+    # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
+    seed = ("--seed", {"type": int, "default": os.environ.get("NLBOX_SEED", "0")})
+    tol = ("--tol", {"type": tolerance, "default": 1e-9})
+    fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
+    # accepted and ignored: perfbench/workloads.py passes them to max and table3
+    ignored = [(flag, {"type": int, "help": "ignored"}) for flag in ("--restarts", "--seed")]
+    box = {"help": "box JSON path or - for stdin"}
+    # one declaration per command: its handler (cmd_lr_case is "lr-case"), its
+    # help and the arguments it reads; a list among the arguments is a group
+    # of which exactly one is required; every command takes --out
+    commands = [
+        (cmd_validate, "validate a box JSON file", [("box", box), tol]),
+        (cmd_vertex, "emit a polytope vertex",
+         [("kind", {"choices": tuple(_VERTICES)}), ("bits", {"type": int, "nargs": "+"}), fmt]),
+        (cmd_cabello, "build a Cabello box from coefficients",
+         [("--coeffs", {"required": True,
+                        "help": "JSON file {\"c\": [...]} or inline comma list"}), tol]),
+        (cmd_ic, "evaluate the IC conditions",
+         [[("--coeffs", {"help": "coefficient vector (file or inline)"}), ("--box", box)], tol]),
+        (cmd_rac, "run the exact 2->1 RAC protocol on a box",
+         [("--box", {"required": True, **box}), tol]),
+        (cmd_lr_case, "constraint system and witness for a case",
+         [("case", {"type": int}), seed]),
+        (cmd_table1, "reproduce table1", [fmt]),
+        (cmd_table2, "reproduce table2", [fmt, seed]),
+        (cmd_table3, "reproduce table3", [fmt, *ignored]),
+        (cmd_max, "maximize the success probability",
+         [("--model", {"choices": ("ns", "ic", "qm", "qm-hardy"), "required": True}),
+          ("--case", {"type": int}), *ignored]),
+    ]
     parser = argparse.ArgumentParser(
         prog="nlbox",
         description="No-signaling boxes, Cabello nonlocality and its IC/QM bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a box JSON file")
-    p.add_argument("box", help="path to box JSON, or - for stdin")
-    _global_flags(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("vertex", help="emit a polytope vertex")
-    p.add_argument("kind", choices=("local", "nonlocal"))
-    p.add_argument("bits", type=int, nargs="+")
-    _global_flags(p)
-    p.set_defaults(func=cmd_vertex)
-
-    p = sub.add_parser("cabello", help="build a Cabello box from coefficients")
-    p.add_argument("--coeffs", required=True,
-                   help="JSON file {\"c\": [...]} or inline comma list")
-    _global_flags(p)
-    p.set_defaults(func=cmd_cabello)
-
-    p = sub.add_parser("ic", help="evaluate the IC conditions")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--coeffs", help="coefficient vector (file or inline)")
-    source.add_argument("--box", help="box JSON path or - for stdin")
-    _global_flags(p)
-    p.set_defaults(func=cmd_ic)
-
-    p = sub.add_parser("rac", help="run the exact 2->1 RAC protocol on a box")
-    p.add_argument("--box", required=True)
-    _global_flags(p)
-    p.set_defaults(func=cmd_rac)
-
-    p = sub.add_parser("lr-case", help="constraint system and witness for a case")
-    p.add_argument("case", type=int)
-    _global_flags(p)
-    p.set_defaults(func=cmd_lr_case)
-
-    for name, fn in (("table1", cmd_table1), ("table2", cmd_table2),
-                     ("table3", cmd_table3)):
-        p = sub.add_parser(name, help=f"reproduce {name}")
-        _global_flags(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("max", help="maximize the success probability")
-    p.add_argument("--model", choices=("ns", "ic", "qm", "qm-hardy"), required=True)
-    p.add_argument("--case", type=int, default=None)
-    _global_flags(p)
-    p.set_defaults(func=cmd_max)
-
+    for func, help_text, arguments in commands:
+        p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help_text)
+        p.set_defaults(func=func)
+        for arg in [*arguments, ("--out", {})]:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for name, kwargs in arg:
+                    group.add_argument(name, **kwargs)
+            else:
+                p.add_argument(arg[0], **arg[1])
     return parser
 
 

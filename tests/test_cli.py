@@ -63,10 +63,18 @@ class TestValidate:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
     def test_invalid_seed_environment_is_usage_error(self):
-        proc = run_cli("table1", env={**os.environ, "NLBOX_SEED": "abc"})
+        proc = run_cli("table2", env={**os.environ, "NLBOX_SEED": "abc"})
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "invalid int value: 'abc'" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        "vertex local 0 0 0 0", "table1", "validate -", "max --model ns",
+    ])
+    def test_seed_environment_is_ignored_by_commands_without_seed(self, args):
+        proc = run_cli(*args.split(), stdin=pr_box().to_json(),
+                       env={**os.environ, "NLBOX_SEED": "abc"})
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_coefficient_file_without_c_is_usage_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -74,6 +82,25 @@ class TestValidate:
         proc = run_cli("cabello", "--coeffs", str(path))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("args", [
+        "validate - --format csv",
+        "cabello --coeffs 0,0,0,0,0,1 --format csv",
+        "ic --box - --format csv",
+        "rac --box - --format csv",
+        "lr-case 3 --format csv",
+        "max --model ns --format csv",
+        "table1 --tol 1e-6",
+        "lr-case 3 --restarts 4",
+    ])
+    def test_is_usage_error(self, args):
+        proc = run_cli(*args.split(), stdin=pr_box().to_json())
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == [f"nlbox: error: unrecognized arguments: {' '.join(args.split()[-2:])}"]
 
 
 class TestNonNumericInput:
