@@ -27,6 +27,16 @@ def tolerance(text: str) -> float:
     return float(text)
 
 
+def seed_value(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -236,11 +246,12 @@ def cmd_max(args) -> int:
         return 2
     if args.model == "ns":
         value, witness = cabello.ns_max_success()
-        payload = {"model": "ns", "value": value, "witness": witness.tolist()}
+        payload = {"model": "ns", "method": "vertex", "value": value,
+                   "witness": witness.tolist()}
     elif args.model == "ic":
         res = ic.max_success_under_ic()
         payload = {
-            "model": "ic", "value": res.value,
+            "model": "ic", "method": res.method, "value": res.value,
             "witness": res.point.tolist(),
             "constraint_slacks": list(res.constraint_slacks),
             "converged": res.converged,
@@ -249,14 +260,15 @@ def cmd_max(args) -> int:
     elif args.model == "qm":
         res, scen, _ = quantum.max_cabello_qm(args.case)
         payload = {
-            "model": "qm", "case": args.case, "value": res.value,
+            "model": "qm", "method": res.method, "case": args.case, "value": res.value,
             "witness": _witness(scen, with_gamma=True),
             "converged": res.converged,
         }
     else:  # qm-hardy
         res, scen = quantum.max_hardy_qm()
         payload = {
-            "model": "qm-hardy", "value": res.value, "witness": _witness(scen),
+            "model": "qm-hardy", "method": res.method, "value": res.value,
+            "witness": _witness(scen),
             "converged": res.converged,
         }
     _emit(args, json.dumps(payload))
@@ -266,7 +278,7 @@ def cmd_max(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # argparse converts a string default with ``type``, so a malformed
     # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
-    seed = ("--seed", {"type": int, "default": os.environ.get("NLBOX_SEED", "0")})
+    seed = ("--seed", {"type": seed_value, "default": os.environ.get("NLBOX_SEED", "0")})
     tol = ("--tol", {"type": tolerance, "default": 1e-9})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
     # accepted and ignored: perfbench/workloads.py passes them to max and table3

@@ -112,8 +112,9 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
     return e_i ** 2 + e_ii ** 2, f_i ** 2 + f_ii ** 2
 
 
-_C11 = np.eye(11)[10]
+_C6, _C11 = np.eye(11)[[5, 10]]
 _GAP_TOL = 1e-9
+_IC_BOUND = (math.sqrt(2.0) - 1.0) / 2.0
 
 
 def _pull_into_discs(y: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
@@ -128,6 +129,11 @@ def _pull_into_discs(y: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         t *= 1.0 - 1e-15
 
 
+def _holds_at(equalities, c: np.ndarray) -> bool:
+    return equalities is None or bool(
+        np.all(np.abs(np.asarray(equalities[0]) @ c - equalities[1]) <= 1e-12))
+
+
 def max_success_under_ic(
     restarts: int = 64,
     seed: int = 0,
@@ -137,23 +143,45 @@ def max_success_under_ic(
     """Maximize q4 - q1 over the 11-simplex, under the optional affine
     ``equalities`` (A, b) and, if ``constrained``, both IC quadratics.
 
-    Kelley cutting planes on HiGHS LPs: each LP gives ``upper_bound``; its
-    point y, pulled toward c11 = 1 until both conditions hold, is a feasible
-    point, and the best one is returned; each violated condition |M c| <= 1
-    adds the cut (M y / |M y|) . M c <= 1.  ``converged`` means a gap
-    ``upper_bound - value`` of at most 1e-9.  The optimum is (sqrt(2)-1)/2
-    ~ 0.2071 on the boundary of both conditions, and 0.5 unconstrained.
-    DomainError is raised when no nonnegative point satisfies the
-    equalities, or when under IC they exclude c11 = 1 (no local-randomness
-    system does).  ``restarts`` and ``seed`` have no effect; they are
-    accepted so that existing callers keep working.
+    On the simplex q4 - q1 = -1/2 - (E_I + E_II + F_I + F_II)/4 exactly
+    (``_SUCCESS == -0.5 - 0.25 * _BIASES.sum(0)``), and IC's discs
+    E_I^2 + E_II^2 <= 1 and F_I^2 + F_II^2 <= 1 give E_I + E_II >= -sqrt(2)
+    and F_I + F_II >= -sqrt(2), so q4 - q1 <= (sqrt(2)-1)/2 = ``_IC_BOUND``.
+    The dual certificate is mu = -1/2 on the simplex row, lambda = sqrt(2)/4
+    on each disc and u = -(1, 1)/sqrt(2) in each; every dual slack is 0.
+    The bound is attained at c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2), so when
+    the equalities hold at c6 = 1 and c11 = 1, as every local-randomness
+    system does, that point is returned with ``method="closed-form"``,
+    ``upper_bound=_IC_BOUND`` and no evaluations.
+
+    Unconstrained, or when the equalities exclude c6 = 1, Kelley cutting
+    planes on HiGHS LPs run instead (see ``_cutting_planes``).  DomainError
+    is raised when no nonnegative point satisfies the equalities, or when
+    under IC they exclude c11 = 1.  ``restarts`` and ``seed`` have no
+    effect; they are accepted so that existing callers keep working.
+    """
+    if constrained and _holds_at(equalities, _C6) and _holds_at(equalities, _C11):
+        x, slacks = _pull_into_discs(_C6)
+        return SearchResult(value=success_closed_form(x), point=x, starts_used=1,
+                            converged=True, constraint_slacks=slacks,
+                            upper_bound=_IC_BOUND, method="closed-form", evaluations=0)
+    return _cutting_planes(equalities, constrained)
+
+
+def _cutting_planes(equalities=None, constrained: bool = True) -> SearchResult:
+    """``max_success_under_ic`` by Kelley cutting planes on HiGHS LPs.
+
+    Each LP gives ``upper_bound``; its point y, pulled toward c11 = 1 until
+    both conditions hold, is a feasible point, and the best one is returned;
+    each violated condition |M c| <= 1 adds the cut (M y / |M y|) . M c <= 1.
+    ``converged`` means a gap ``upper_bound - value`` of at most 1e-9.
     """
     from scipy.optimize import linprog
 
     a_eq, b_eq = np.ones((1, 11)), np.ones(1)
     if equalities is not None:
         a_eq, b_eq = np.vstack([a_eq, equalities[0]]), np.append(b_eq, equalities[1])
-    if constrained and np.abs(a_eq @ _C11 - b_eq).max() > 1e-12:
+    if constrained and not _holds_at(equalities, _C11):
         raise DomainError("under the IC conditions the equalities must hold at c11 = 1")
     cuts: list[np.ndarray] = []
     best = None  # (value, point, slacks) of the best feasible point so far

@@ -178,6 +178,7 @@ class TestNsMax:
         )
         assert abs(result.value) <= 1e-12
         assert result.converged and result.upper_bound - result.value <= 1e-9
+        assert result.method == "cutting-plane"
 
     def test_linear_objective_vertex_max_matches_lp(self):
         # the vertex maximum and an LP over the same simplex agree

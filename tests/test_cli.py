@@ -68,6 +68,19 @@ class TestValidate:
         assert "Traceback" not in proc.stderr
         assert "invalid int value: 'abc'" in proc.stderr
 
+    @pytest.mark.parametrize("args, env", [
+        ("lr-case 3 --seed -1", {}),
+        ("table2 --seed -1", {}),
+        ("table2", {"NLBOX_SEED": "-1"}),
+    ])
+    def test_negative_seed_is_usage_error(self, args, env):
+        proc = run_cli(*args.split(), env={**os.environ, **env})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == [f"nlbox {args.split()[0]}: error: argument --seed: "
+                          "expected an integer >= 0, got '-1'"]
+
     @pytest.mark.parametrize("args", [
         "vertex local 0 0 0 0", "table1", "validate -", "max --model ns",
     ])
@@ -210,7 +223,7 @@ class TestTables:
 class TestMax:
     def test_ns_bound(self):
         payload = json.loads(run_cli("max", "--model", "ns").stdout)
-        assert payload["value"] == 0.5
+        assert payload["value"] == 0.5 and payload["method"] == "vertex"
         assert payload["witness"][5] == 1.0
 
     def test_ic_bound_with_certificate(self):
@@ -218,7 +231,7 @@ class TestMax:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - (math.sqrt(2) - 1) / 2) <= 1e-9
-        assert payload["converged"] is True
+        assert payload["converged"] is True and payload["method"] == "closed-form"
         assert payload["upper_bound"] - payload["value"] <= 1e-9
         assert min(payload["constraint_slacks"]) >= 0.0
 
@@ -230,13 +243,13 @@ class TestMax:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - 0.10781271774893628) <= 1e-12
-        assert payload["converged"] is True
+        assert payload["converged"] is True and payload["method"] == "grid+zoom"
 
     def test_qm_hardy_bound(self):
         proc = run_cli("max", "--model", "qm-hardy", "--restarts", "16")
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-3
-        assert payload["converged"] is True
+        assert payload["converged"] is True and payload["method"] == "grid+zoom"
 
     def test_lr_case_witness(self):
         proc = run_cli("lr-case", "7")

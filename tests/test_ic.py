@@ -1,12 +1,19 @@
 """Information Causality conditions, coefficient quadratics and the RAC."""
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import sympy as sp
 
 import reference
 from nlbox import boxes
 from nlbox.cabello import _SUCCESS, cabello_box
 from nlbox.ic import (
     _BIASES,
+    _IC_BOUND,
+    _cutting_planes,
     ic_ab_satisfied,
     ic_ba_satisfied,
     ic_cabello_lhs,
@@ -16,7 +23,7 @@ from nlbox.ic import (
 )
 from nlbox.localrandom import lr_cases, lr_constraints
 from nlbox.search import DomainError
-from nlbox.quantum import quantum_box, tsirelson_scenario
+from nlbox.quantum import max_cabello_qm, max_hardy_qm, quantum_box, tsirelson_scenario
 
 
 def coeffs(**kv):
@@ -119,10 +126,18 @@ def assert_certified(result, bound=IC_BOUND):
     assert abs(result.point.sum() - 1.0) <= 1e-12
 
 
+def assert_closed_form(result):
+    assert result.method == "closed-form" and result.evaluations == 0
+    assert result.upper_bound == _IC_BOUND
+    assert 0.0 <= result.upper_bound - result.value <= 1e-15
+    assert min(result.constraint_slacks) >= 0.0
+
+
 class TestMaxUnderIC:
     def test_unconstrained_recovers_ns_bound(self):
         result = max_success_under_ic(restarts=8, constrained=False)
         assert abs(result.value - 0.5) <= 1e-6
+        assert result.method == "cutting-plane"
 
     def test_constrained_quick(self):
         result = max_success_under_ic(restarts=8)
@@ -143,7 +158,7 @@ class TestMaxUnderIC:
         assert result.constraint_slacks == (1.0 - lhs[0], 1.0 - lhs[1])
         # the optimum sits on both constraint boundaries
         assert max(result.constraint_slacks) <= 1e-9
-        assert result.method == "cutting-plane" and result.evaluations == 2
+        assert_closed_form(result)
 
     def test_result_on_simplex(self):
         for kwargs in ({}, {"constrained": False}):
@@ -154,11 +169,15 @@ class TestMaxUnderIC:
             assert result.starts_used == 1
 
     def test_same_result_for_any_restarts_and_seed(self):
-        ref = max_success_under_ic()
-        for restarts, seed in ((1, 0), (8, 5), (64, 123)):
-            result = max_success_under_ic(restarts=restarts, seed=seed)
-            assert result.value == ref.value
-            np.testing.assert_array_equal(result.point, ref.point)
+        for cid in [None, *lr_cases()]:
+            system = None if cid is None else lr_constraints(cid)
+            eqs = None if cid is None else (system.a, system.b)
+            ref = max_success_under_ic(equalities=eqs)
+            for restarts, seed in ((1, 0), (8, 5), (64, 123)):
+                result = max_success_under_ic(restarts=restarts, seed=seed, equalities=eqs)
+                assert result.value == ref.value
+                assert result.constraint_slacks == ref.constraint_slacks
+                np.testing.assert_array_equal(result.point, ref.point)
 
     def test_every_case_reaches_the_bound(self):
         # case 1 is where a single SLSQP run from the barycentre stops at 0.1413
@@ -167,6 +186,34 @@ class TestMaxUnderIC:
             result = max_success_under_ic(equalities=(system.a, system.b))
             assert_certified(result)
             assert np.abs(system.a @ result.point - system.b).max() <= 1e-12
+            assert_closed_form(result)
+
+    def test_cutting_planes_agree_with_the_closed_form(self):
+        # the LP path is the independent second derivation of the bound
+        closed = max_success_under_ic()
+        for cid in [None, *lr_cases()]:
+            system = None if cid is None else lr_constraints(cid)
+            result = _cutting_planes(None if cid is None else (system.a, system.b))
+            assert result.method == "cutting-plane" and result.evaluations == 2, cid
+            assert result.converged
+            assert abs(result.value - closed.value) <= 1e-12
+            assert abs(result.upper_bound - closed.upper_bound) <= 1e-12
+
+    def test_ic_path_does_not_import_scipy_optimize(self):
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            import nlbox.cli
+            from nlbox import lr_cases, lr_constraints, max_success_under_ic
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert nlbox.cli.main(["max", "--model", "ic"]) == 0
+            for cid in lr_cases():
+                system = lr_constraints(cid)
+                max_success_under_ic(equalities=(system.a, system.b))
+            print('scipy.optimize' in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_inconsistent_equalities_raise(self):
         a = np.zeros((2, 11))
@@ -182,9 +229,54 @@ class TestMaxUnderIC:
         a = np.eye(11)[10:]
         with pytest.raises(DomainError):
             max_success_under_ic(equalities=(a, np.zeros(1)))
-        assert max_success_under_ic(
-            equalities=(a, np.zeros(1)), constrained=False
-        ).converged
+        result = max_success_under_ic(equalities=(a, np.zeros(1)), constrained=False)
+        assert result.converged and result.method == "cutting-plane"
+
+
+class TestCertificate:
+    """Exact (sympy) derivation of the IC bound on the Cabello face."""
+
+    @staticmethod
+    def exact(array):
+        # each double converts to the rational it stores, without rounding
+        return sp.Matrix([[sp.Rational(float(v)) for v in row] for row in array])
+
+    def test_success_is_affine_in_the_bias_sum(self):
+        success, biases = self.exact(_SUCCESS[None, :]), self.exact(_BIASES)
+        residuals = [success[k] + sp.Rational(1, 2) + sp.Rational(1, 4) * sum(biases[:, k])
+                     for k in range(11)]
+        assert residuals == [0] * 11
+
+    def test_dual_certificate(self):
+        success, biases = self.exact(_SUCCESS[None, :]), self.exact(_BIASES)
+        r2 = sp.sqrt(2)
+        mu, lam = sp.Rational(-1, 2), [r2 / 4, r2 / 4]
+        u = [sp.Matrix([-1, -1]) / r2] * 2
+        assert all(l >= 0 for l in lam) and all(sp.simplify(v.dot(v)) == 1 for v in u)
+        # c . success = mu (1 . c) + sum_i lam_i u_i . (M_i c) - z . c, where
+        # M_1, M_2 are the E and F rows; z >= 0 is the dual slack of c >= 0
+        z = (mu * sp.ones(1, 11) + lam[0] * u[0].T * biases[:2, :]
+             + lam[1] * u[1].T * biases[2:, :] - success)
+        assert [sp.simplify(v) for v in z] == [0] * 11
+        bound = sp.simplify(mu + lam[0] + lam[1])
+        assert sp.simplify(bound - (r2 - 1) / 2) == 0
+        # and the closed-form point attains it, on both disc boundaries
+        c = sp.zeros(11, 1)
+        c[5], c[10] = 1 / r2, 1 - 1 / r2
+        assert sp.simplify((success * c)[0] - bound) == 0
+        for rows in (biases[:2, :], biases[2:, :]):
+            assert sp.simplify(((rows * c).T * (rows * c))[0]) == 1
+        assert abs(_IC_BOUND - sp.N(bound, 30)) <= 1e-16
+
+
+class TestTsirelson:
+    def test_quantum_maxima_obey_the_ic_bound(self):
+        # on this face q4 - q1 = -(S + 2)/4, so every quantum value is below
+        # the IC (and Tsirelson) bound
+        ic_value = max_success_under_ic().value
+        values = [max_cabello_qm()[0].value, max_hardy_qm()[0].value]
+        values += [max_cabello_qm(cid)[0].value for cid in lr_cases()]
+        assert max(values) <= ic_value + 1e-12
 
 
 class TestMutualInformation:
