@@ -7,6 +7,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -228,6 +229,7 @@ def cmd_table3(args) -> int:
             "theta_y0": geom.theta_y0 or "free",
             "beta": beta_label,
             "max": result.value,
+            "method": result.method,
             "witness": _witness(scen),
         })
         w = rows[-1]["witness"]
@@ -276,9 +278,16 @@ def cmd_max(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse converts a string default with ``type``, so a malformed
-    # NLBOX_SEED is a usage error (exit 2) like a malformed --seed
-    seed = ("--seed", {"type": seed_value, "default": os.environ.get("NLBOX_SEED", "0")})
+    """The parser for the current NLBOX_SEED, built once per value and
+    shared; parsing leaves it unchanged."""
+    return _parser(os.environ.get("NLBOX_SEED", "0"))
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(seed_default: str) -> argparse.ArgumentParser:
+    # argparse converts a string default with ``type`` on every parse, so a
+    # malformed NLBOX_SEED is a usage error (exit 2) like a malformed --seed
+    seed = ("--seed", {"type": seed_value, "default": seed_default})
     tol = ("--tol", {"type": tolerance, "default": 1e-9})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
     # accepted and ignored: perfbench/workloads.py passes them to max and table3

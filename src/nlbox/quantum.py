@@ -6,6 +6,12 @@ gamma = 0 and every phi = pi/2, which makes the interference cosine -1 in
 all four input pairs; the two zero conditions q2 = q3 = 0 then pin the
 primed polar angles to the (beta, theta_x0, theta_y0) completions, and
 q4 - q1 collapses to a closed form in those three parameters.
+
+In b = tan(beta), x = tan(theta_x0/2) and y = tan(theta_y0/2) the form is
+rational, q4 = b^2 (b - xy)^2 / ((1 + b^2)(x^2 + b^2)(y^2 + b^2)) and
+q1 = (1 - bxy)^2 / ((1 + b^2)(1 + x^2)(1 + y^2)), and every maximum is the
+best of a few points given by the real roots of integer stationarity
+polynomials (``_STATIONARITY``); no grid search runs.
 """
 from __future__ import annotations
 
@@ -17,7 +23,9 @@ import numpy as np
 
 from .boxes import Box, from_correlator_rows
 from .localrandom import case_inputs
-from .search import SearchDomain, SearchResult, maximize
+# maximize is bound only so that perfbench/tracing.py can patch
+# nlbox.quantum.maximize
+from .search import SearchResult, maximize
 
 HALF_PI = math.pi / 2
 
@@ -279,21 +287,83 @@ _BETA_BOUNDS = (ANGLE_MARGIN, HALF_PI - ANGLE_MARGIN)
 _THETA_BOUNDS = (ANGLE_MARGIN, math.pi - ANGLE_MARGIN)
 
 
-def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
-    """Maximum of q4 - q1 over the free angles of ``geom``.
+# Stationarity of q4 - q1 on the geometries with a free beta and one free
+# tangent s: the theta_y0 one when theta_x0 = pi/2 (cases 12, 14 mirrored),
+# the theta_x0 one when theta_y0 = 2 beta (cases 13, 15 mirrored) or q1 = 0
+# (Hardy), and x = y = s on the whole box (the global maximum; that it lies
+# on x = y is checked against search.maximize in the tests, not proven),
+# keyed by the rule of the fixed theta.  ``p`` is the polynomial in b that
+# eliminating s from the two stationarity conditions leaves; row k of ``q``
+# holds the coefficients, in b, of s^(len(q) - 1 - k) in the condition in
+# s.  Both list the highest power first, as np.roots takes them.  Every
+# geometry and the ANGLE_MARGIN box are invariant under (b, s) -> (1/b, 1/s),
+# that is beta -> pi/2 - beta and theta -> pi - theta, so the maximum has a
+# copy on each side of b = 1: only roots with b > 1 (``upper``) or b < 1
+# are kept, the side of the witnesses that table3 and max have printed.
+_STATIONARITY = {
+    None: ((8, -33, 64, -82, 64, -33, 8),
+           ((1, 0), (0,), (-1, 0, -1), (0,), (-3, -3, 0, 0), (0,), (-1, 0, -1, 0, 0, 0), (0,),
+            (1, 0, 0, 0, 0)),
+           True),
+    "pi/2": ((37, 0, -154, 0, 165, 0, -312, 0, 165, 0, -154, 0, 37),
+             ((1, 0), (-3, 0, -1), (1, 0, 1, 0), (-1, 0, -3, 0, 0), (1, 0, 0, 0)),
+             True),
+    "2*beta": ((1, 0, 22, 0, 316, 0, -1262, 0, 982, 0, -1262, 0, 316, 0, 22, 0, 1),
+               ((1, 0, 0), (-1, 0, -2), (-2, 0, 0), (-2, 0, 0), (-2, 0, -1, 0, 0), (1, 0, 0)),
+               False),
+    # q1 = 0 leaves q4 = b^2 (b^2 - 1)^2 / ((1 + b^2)(1 + b^3)^2) at x^2 = 1/b
+    "q1=0": ((1, -3, 3, -3, 1), ((1, 0), (0,), (-1,)), False),
+}
 
-    Grid-then-zoom over at most 3 angles (``search.maximize``); a geometry
-    with no free angle is evaluated once.
+
+def _positive_real_roots(coeffs) -> np.ndarray:
+    r = np.roots(coeffs)
+    r = r.real[np.abs(r.imag) <= 1e-9 * np.abs(r)]
+    return r[r > 0]
+
+
+def _candidates(geom: CaseGeometry) -> np.ndarray:
+    """Points of the free angles of ``geom``, one column each, among which
+    the maximum of q4 - q1 lies.
+
+    With beta fixed at pi/4 (cases 1-5, 10, 11) q4 = q1 everywhere, and a
+    free theta is set to pi/2; with both thetas fixed (cases 6-9) q4 - q1
+    <= 0, with equality only at beta = pi/4.  Otherwise the points are the
+    common roots of ``_STATIONARITY``.
     """
-    bounds = tuple(
-        _BETA_BOUNDS if name == "beta" else _THETA_BOUNDS
-        for name in geom.free_names
+    fixed = [rule for rule in (geom.theta_x0, geom.theta_y0) if rule is not None]
+    n_theta = 2 - len(fixed)
+    if geom.beta is not None:
+        return np.full((n_theta, 1), HALF_PI)
+    if not n_theta:
+        return np.array([[math.pi / 4]])
+    p, q, upper = _STATIONARITY[fixed[0] if fixed else None]
+    bs = _positive_real_roots(p)
+    points = [(b, s) for b in bs[bs > 1 if upper else bs < 1]
+              for s in _positive_real_roots([np.polyval(row, b) for row in q])]
+    b, s = np.array(points).T
+    return np.array([np.arctan(b), *[2 * np.arctan(s)] * n_theta])
+
+
+def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
+    """Maximum of q4 - q1 over the free angles of ``geom``: the best of
+    its ``_candidates`` inside the ANGLE_MARGIN box."""
+    bounds = np.array([
+        _BETA_BOUNDS if name == "beta" else _THETA_BOUNDS for name in geom.free_names
+    ]).reshape(-1, 2, 1)
+    z = _candidates(geom)
+    z = z[:, np.all((bounds[:, 0] <= z) & (z <= bounds[:, 1]), axis=0)]
+    values = np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
+    k = int(np.argmax(values))
+    result = SearchResult(
+        value=float(values[k]),
+        point=z[:, k].copy(),
+        starts_used=1,
+        converged=True,
+        constraint_slacks=(),
+        method="algebraic",
+        evaluations=values.size,
     )
-
-    def objective(z: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
-
-    result = maximize(objective, SearchDomain(bounds=bounds))
     return result, canonical_scenario(*geom.params(result.point))
 
 

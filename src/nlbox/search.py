@@ -58,8 +58,8 @@ class SearchResult:
     # certified upper bound on the maximum, from solvers that have one
     upper_bound: Optional[float] = None
     # how the optimum was found: the method, its objective evaluations (LPs
-    # for cutting planes) and, for grid+zoom, the first grid's points per
-    # axis and the final cell width
+    # for cutting planes, candidate points for algebraic) and, for
+    # grid+zoom, the first grid's points per axis and the final cell width
     method: str = ""
     evaluations: int = 0
     grid: Optional[int] = None

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import nlbox
+from nlbox.search import SearchDomain
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +28,9 @@ def test_tracer_sites_resolve_and_record(monkeypatch):
     try:
         nlbox.max_success_under_ic()
         nlbox.max_cabello_qm(restarts=1, seed=0)
+        # the quantum maxima are algebraic; call the search binding directly
+        nlbox.quantum.maximize(lambda z: -(z ** 2).sum(axis=0),
+                               SearchDomain(bounds=((-1.0, 1.0),)))
     finally:
         tracer.uninstall()
     for site, original in originals.items():

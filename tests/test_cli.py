@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import nlbox.cli
 from nlbox.boxes import Box, pr_box
 from nlbox.cabello import hardy_box
+from nlbox.localrandom import feasibility_witness
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -80,6 +82,21 @@ class TestValidate:
         errors = [line for line in proc.stderr.splitlines() if "error:" in line]
         assert errors == [f"nlbox {args.split()[0]}: error: argument --seed: "
                           "expected an integer >= 0, got '-1'"]
+
+    def test_seed_environment_is_read_on_every_call(self, monkeypatch, capsys):
+        witnesses = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("NLBOX_SEED", seed)
+            assert nlbox.cli.main(["lr-case", "7"]) == 0
+            witnesses.append(json.loads(capsys.readouterr().out)["witness"])
+            assert witnesses[-1] == [round(v, 12) for v in feasibility_witness(7, int(seed))]
+        assert witnesses[0] != witnesses[1]
+        assert nlbox.cli.build_parser() is nlbox.cli.build_parser()
+        monkeypatch.setenv("NLBOX_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            nlbox.cli.main(["lr-case", "7"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         "vertex local 0 0 0 0", "table1", "validate -", "max --model ns",
@@ -219,6 +236,12 @@ class TestTables:
         value = float(row12.split(",")[7])
         assert abs(value - 0.0990) <= 1e-3
 
+    def test_table3_rows_report_their_method(self, capsys):
+        assert nlbox.cli.main(["table3"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["case"] for row in rows] == list(range(1, 16))
+        assert {row["method"] for row in rows} == {"algebraic"}
+
 
 class TestMax:
     def test_ns_bound(self):
@@ -243,13 +266,13 @@ class TestMax:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - 0.10781271774893628) <= 1e-12
-        assert payload["converged"] is True and payload["method"] == "grid+zoom"
+        assert payload["converged"] is True and payload["method"] == "algebraic"
 
     def test_qm_hardy_bound(self):
         proc = run_cli("max", "--model", "qm-hardy", "--restarts", "16")
         payload = json.loads(proc.stdout)
         assert abs(payload["value"] - (5 * math.sqrt(5) - 11) / 2) <= 1e-3
-        assert payload["converged"] is True and payload["method"] == "grid+zoom"
+        assert payload["converged"] is True and payload["method"] == "algebraic"
 
     def test_lr_case_witness(self):
         proc = run_cli("lr-case", "7")

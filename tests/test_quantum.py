@@ -5,11 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied
 from nlbox.localrandom import LR_INPUTS, is_locally_random
 from nlbox.quantum import (
+    _STATIONARITY,
+    ANGLE_MARGIN,
     HARDY_GEOMETRY,
     DegenerateConstraintError,
     MeasurementDirection,
@@ -273,9 +276,19 @@ class TestQuantumMaxima:
         q = extract_q(quantum_box(scen))
         assert abs(q.success - result.value) <= 1e-9
         assert abs(q.q2) <= 1e-9 and abs(q.q3) <= 1e-9
-        assert result.method == "grid+zoom" and result.converged
-        assert result.grid == 33 and result.cell_width < 1e-12
-        assert result.evaluations == 33 ** 3 + 37 * 9 ** 3
+        assert result.method == "algebraic" and result.converged
+
+    def test_witnesses_stay_on_their_side_of_maximal_entanglement(self):
+        # each maximum has a mirror copy at beta -> pi/2 - beta; the solver
+        # keeps b > 1 for the global and case 12/14 maxima, b < 1 for the rest
+        betas = {"global": 1.0696552, 12: 1.0798042, 14: 1.0798042, 13: 0.5426340,
+                 15: 0.5426340, "hardy": 0.4346923}
+        for key, beta in betas.items():
+            if key == "hardy":
+                result, _ = max_hardy_qm()
+            else:
+                result, _, _ = max_cabello_qm(None if key == "global" else key)
+            assert abs(result.point[0] - beta) <= 1e-6, key
 
     def test_case_12_maximum(self):
         for cid in (12, 14):
@@ -300,6 +313,17 @@ class TestQuantumMaxima:
             q = extract_q(quantum_box(scen))
             assert abs(q.q2) <= 1e-9 and abs(q.q3) <= 1e-9
 
+    def test_cases_1_to_11_have_fixed_witnesses(self):
+        # beta = pi/4 where it is free (cases 6-9), a free theta at pi/2
+        # (cases 10, 11), and nothing to choose in cases 1-5
+        for cid in range(1, 12):
+            result, scen, geom = max_cabello_qm(cid)
+            assert abs(result.value) <= 1e-15, cid
+            assert result.method == "algebraic" and result.evaluations == 1
+            expected = [math.pi / 4 if name == "beta" else HALF_PI for name in geom.free_names]
+            assert result.point.tolist() == expected, cid
+            assert scen.state.beta == math.pi / 4
+
     def test_result_independent_of_restarts_and_seed(self):
         base, _, _ = max_cabello_qm(12)
         for restarts, seed in ((1, 0), (64, 7)):
@@ -314,12 +338,13 @@ class TestQuantumMaxima:
             "import contextlib, io, sys, nlbox, nlbox.cli\n"
             "nlbox.max_cabello_qm(); nlbox.max_hardy_qm()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert nlbox.cli.main(['table3']) == 0\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "    for argv in (['table3'], ['max', '--model', 'qm'], ['max', '--model', 'qm-hardy']):\n"
+            "        assert nlbox.cli.main(argv) == 0\n"
+            "print('scipy.optimize' in sys.modules, 'sympy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_hardy_maximum(self):
         result, scen = max_hardy_qm()
@@ -336,3 +361,161 @@ class TestQuantumMaxima:
 
         for tx0 in (0.5, 1.0, 2.0):
             assert hardy_q4(math.pi / 4 - 1e-7, tx0) <= 1e-6
+
+
+def grid_maximum(geom):
+    """Maximum of q4 - q1 over the free angles of ``geom`` by grid-then-zoom
+    search on the ANGLE_MARGIN box: a derivation independent of the
+    algebra in nlbox.quantum."""
+    bounds = tuple(
+        (ANGLE_MARGIN, (HALF_PI if name == "beta" else math.pi) - ANGLE_MARGIN)
+        for name in geom.free_names
+    )
+
+    def objective(z):
+        return np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
+
+    return maximize(objective, SearchDomain(bounds=bounds))
+
+
+def algebraic_maximum(geom):
+    if geom is HARDY_GEOMETRY:
+        return max_hardy_qm()[0]
+    return max_cabello_qm(geom.case_id)[0]
+
+
+GEOMETRIES = [case_geometry(None), HARDY_GEOMETRY] + [case_geometry(c) for c in range(1, 16)]
+GEOMETRY_IDS = ["global", "hardy"] + [f"case{c}" for c in range(1, 16)]
+
+
+class TestGridAgreement:
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_grid_search_agrees_with_algebraic(self, geom):
+        grid = grid_maximum(geom)
+        algebraic = algebraic_maximum(geom)
+        assert grid.method == "grid+zoom" and grid.converged
+        assert algebraic.method == "algebraic" and algebraic.converged
+        assert abs(grid.value - algebraic.value) <= 1e-12
+
+    def test_global_grid_search(self):
+        result = grid_maximum(case_geometry(None))
+        assert abs(result.value - QM_MAX) <= 1e-12
+        assert result.method == "grid+zoom" and result.converged
+        assert result.grid == 33 and result.cell_width < 1e-12
+        assert result.evaluations == 33 ** 3 + 37 * 9 ** 3
+
+    def test_hardy_grid_search(self):
+        result = grid_maximum(HARDY_GEOMETRY)
+        assert abs(result.value - (5 * math.sqrt(5) - 11) / 2) <= 1e-3
+        assert result.method == "grid+zoom" and result.converged
+
+
+B, S = sp.symbols("b s", positive=True)
+X, Y = sp.symbols("x y", positive=True)
+
+
+def rational_success(b, x, y):
+    """q4 - q1 in b = tan(beta), x = tan(theta_x0/2), y = tan(theta_y0/2)."""
+    return (b ** 2 * (b - x * y) ** 2 / ((1 + b ** 2) * (x ** 2 + b ** 2) * (y ** 2 + b ** 2))
+            - (1 - b * x * y) ** 2 / ((1 + b ** 2) * (1 + x ** 2) * (1 + y ** 2)))
+
+
+# the tangent of half a fixed theta, from b and the other tangent
+TANGENT = {"pi/2": lambda b, x: 1, "2*beta": lambda b, x: b, "q1=0": lambda b, x: 1 / (b * x)}
+
+
+def reduced_success(geom):
+    """q4 - q1 on ``geom`` with beta free, as a function of b and the free
+    tangent s; with both thetas free, on the line x = y = s."""
+    x = S if geom.theta_x0 is None else TANGENT[geom.theta_x0](B, None)
+    y = S if geom.theta_y0 is None else TANGENT[geom.theta_y0](B, x)
+    return rational_success(B, x, y)
+
+
+def can_vanish(g):
+    """Whether the polynomial g may be 0 with b and s positive: in b alone,
+    whether it has a positive real root; else whether its coefficients
+    differ in sign."""
+    if not g.has(S):
+        return any(r > 0 for r in sp.Poly(g, B).real_roots())
+    return len({sp.sign(c) for c in sp.Poly(g, B, S).coeffs()}) > 1
+
+
+def vanishing_factors(expr):
+    """Irreducible factors, with multiplicity, of the numerator and the
+    denominator of ``expr`` that may vanish with b and s positive."""
+    out = []
+    for part in sp.fraction(sp.cancel(sp.together(expr))):
+        _, factors = sp.factor_list(part)
+        out += [(g, k) for g, k in factors if can_vanish(g)]
+    return out
+
+
+STATIONARY_CASES = [case_geometry(None), HARDY_GEOMETRY] + [case_geometry(c) for c in (12, 13, 14, 15)]
+STATIONARY_IDS = ["global", "hardy", "case12", "case13", "case14", "case15"]
+
+
+class TestStationarityAlgebra:
+    """Exact (sympy) derivation of the polynomials behind every quantum maximum."""
+
+    def test_rational_form_matches_closed_form(self):
+        f = sp.lambdify((B, X, Y), rational_success(B, X, Y))
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            beta = rng.uniform(0.05, HALF_PI - 0.05)
+            tx0, ty0 = rng.uniform(0.05, math.pi - 0.05, 2)
+            exact = f(math.tan(beta), math.tan(tx0 / 2), math.tan(ty0 / 2))
+            assert abs(q4_minus_q1_closed_form(beta, tx0, ty0) - exact) <= 1e-12
+
+    def test_symmetries(self):
+        f = rational_success(B, X, Y)
+        # x <-> y maps case 12 to 14 and 13 to 15
+        assert sp.simplify(rational_success(B, Y, X) - f) == 0
+        # beta -> pi/2 - beta, theta -> pi - theta: why one side of b = 1 suffices
+        assert sp.simplify(rational_success(1 / B, 1 / X, 1 / Y) - f) == 0
+
+    @pytest.mark.parametrize("geom", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_polynomials_are_the_stationarity_resultant(self, geom):
+        fixed = [r for r in (geom.theta_x0, geom.theta_y0) if r is not None]
+        p, q, upper = _STATIONARITY[fixed[0] if fixed else None]
+        poly_p = sp.Poly(p, B)
+        poly_q = sum(sp.Poly(row, B).as_expr() * S ** (len(q) - 1 - k) for k, row in enumerate(q))
+        f = reduced_success(geom)
+        # the q4 - q1 = 0 line b = 1 (beta = pi/4) holds no maximum
+        assert sp.simplify(f.subs(B, 1)) == 0
+        df_ds = sp.numer(sp.together(sp.diff(f, S)))
+        df_db = sp.numer(sp.together(sp.diff(f, B)))
+        # q is the only factor of the condition in s with a zero at b, s > 0, b != 1
+        cofactor = sp.cancel(df_ds / poly_q)
+        assert sp.fraction(cofactor)[1].is_number
+        assert all(g == B - 1 for g, _ in vanishing_factors(cofactor))
+        # eliminating s leaves p, and nothing else that vanishes for b > 0, b != 1
+        res = sp.Poly(sp.resultant(poly_q, sp.expand(df_db), S), B)
+        quotient, remainder = sp.div(res, poly_p)
+        assert remainder.is_zero
+        assert all(g == B - 1 or sp.Poly(g, B) == poly_p
+                   for g, _ in vanishing_factors(quotient.as_expr()))
+        # both map to themselves, up to a monomial, under (b, s) -> (1/b, 1/s)
+        for poly in (poly_p.as_expr(), poly_q):
+            mirrored = sp.cancel(poly.subs({B: 1 / B, S: 1 / S}, simultaneous=True) / poly)
+            assert all(sp.Poly(part, B, S).is_monomial for part in sp.fraction(mirrored))
+
+    def test_hardy_maximum_is_exact(self):
+        # at x^2 = 1/b the q1 = 0 surface gives q4 = b^2 (b^2 - 1)^2 / ((1 + b^2)(1 + b^3)^2)
+        p = _STATIONARITY["q1=0"][0]
+        q4 = reduced_success(HARDY_GEOMETRY).subs(S, 1 / sp.sqrt(B))
+        target = (5 * sp.sqrt(5) - 11) / 2
+        values = [q4.subs(B, r) for r in sp.Poly(p, B).real_roots()]
+        assert all(abs(sp.N(v - target, 40)) <= 1e-35 for v in values)
+
+    @pytest.mark.parametrize("cid", [6, 7, 8, 9])
+    def test_pair_cases_peak_at_maximal_entanglement(self, cid):
+        f = reduced_success(case_geometry(cid))
+        assert not f.has(S)
+        # q4 - q1 vanishes only at b = 1, to even order, and is negative elsewhere
+        assert [(g, k % 2) for g, k in vanishing_factors(f)] == [(B - 1, 0)]
+        assert f.subs(B, 2) < 0 and f.subs(B, sp.Rational(1, 2)) < 0
+
+    def test_maximal_entanglement_gives_zero(self):
+        # beta = pi/4 in cases 1-5, 10 and 11: q4 - q1 is 0 for every angle
+        assert sp.simplify(rational_success(1, X, Y)) == 0
