@@ -48,7 +48,6 @@ from .quantum import (
     PureState,
     QuantumScenario,
     canonical_scenario,
-    joint_probability,
     marginal_bias,
     max_cabello_qm,
     max_hardy_qm,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,52 +67,55 @@ def _as_table(p) -> np.ndarray:
         raise MalformedBoxError(f"probability table must be numbers: {exc}") from None
     if arr.shape != (4, 4):
         raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise MalformedBoxError("probability table contains non-finite entries")
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
-    """Immutable 4x4 joint-distribution table P(ab|XY)."""
+    """Immutable 4x4 joint-distribution table P(ab|XY).
+
+    Construction reads the table once: one ``row_stats`` matmul, after which
+    the cells, row stats, marginal pairs and check magnitudes are kept as
+    plain floats, so that the readers below do scalar arithmetic only.  The
+    table is a read-only copy, so these never go stale, and none depends on
+    a tolerance.
+    """
 
     p: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_table(self.p)
+    def __init__(self, p):
+        arr = _as_table(p)
+        cells = arr.ravel().tolist()
+        if not all(map(math.isfinite, cells)):
+            raise MalformedBoxError("probability table contains non-finite entries")
         arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
-
-    # What validation, marginals, correlators and the IC quantities read of
-    # the table, computed on first use.  The table is a read-only copy, so
-    # these never go stale, and none depends on a tolerance.
-    @cached_property
-    def stats(self) -> np.ndarray:
-        """``row_stats`` of the table, read-only."""
-        stats = row_stats(self.p)
+        stats = row_stats(arr)
         stats.setflags(write=False)
-        return stats
+        values = stats.ravel().tolist()
+        pairs = _MARGINAL_PAIRS(values)
+        c, s, m = cells, values, pairs
+        checks = [-c[0], -c[1], -c[2], -c[3], abs(s[0] - 1.0),  # in the order of _CHECKS
+                  -c[4], -c[5], -c[6], -c[7], abs(s[4] - 1.0),
+                  -c[8], -c[9], -c[10], -c[11], abs(s[8] - 1.0),
+                  -c[12], -c[13], -c[14], -c[15], abs(s[12] - 1.0),
+                  abs(m[0] - m[1]), abs(m[2] - m[3]), abs(m[4] - m[5]), abs(m[6] - m[7])]
+        # max skips NaN magnitudes; only sums that overflow make them, and a
+        # table whose sums overflow fails another check by more than 1e307.
+        # The instance is frozen, so its attributes go into __dict__ at once.
+        self.__dict__.update(p=arr, stats=stats, _cells=cells, _stats=values, _pairs=pairs,
+                             _checks=checks, worst_check=max(checks))
 
-    @cached_property
+    @property
     def check_magnitudes(self) -> np.ndarray:
-        """The 24 magnitudes of the checks of ``validate_box``, in report order."""
-        derived = np.abs(_CHECK_MAP @ self.stats.ravel() - _CHECK_OFFSET)
-        magnitudes = np.concatenate([-self.p.ravel(), derived])[_REPORT_ORDER]
+        """The 24 magnitudes of the checks of ``validate_box``, in report
+        order, read-only; the box is valid within tol iff ``worst_check``,
+        their max, is <= tol."""
+        magnitudes = np.array(self._checks)
         magnitudes.setflags(write=False)
         return magnitudes
 
-    @cached_property
-    def worst_check(self) -> float:
-        """The largest check magnitude: the box is valid within tol iff it is <= tol."""
-        return float(self.check_magnitudes.max())
-
-    @cached_property
-    def _marginal_pairs(self) -> list:
-        """P(outcome 0) per [party A/B][input][remote input], as floats."""
-        return _marginals(self.stats).tolist()
-
     def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.p[ROW_OF[(x, y)], ROW_OF[(a, b)]])
+        return self._cells[4 * ROW_OF[(x, y)] + ROW_OF[(a, b)]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Box) and np.array_equal(self.p, other.p)
@@ -120,7 +124,7 @@ class Box:
         return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, as == does
 
     def __reduce__(self):
-        # copies and unpickled boxes go through __post_init__, so that their
+        # copies and unpickled boxes go through __init__, so that their
         # table is read-only too and the derived data cannot go stale
         return Box, (self.p,)
 
@@ -184,32 +188,29 @@ _CHECKS = [
     [("positivity", f"P({ab}|{xy})") for ab in _PAIRS] + [("normalization", f"row XY={xy}")]
 ] + [("no-signaling", f"party {party}, input {inp}") for inp in (0, 1) for party in "AB"]
 
+# Gathers the marginal pairs from the 16 raveled row stats, in the order
+# [input][party A/B][remote input] of the no-signaling checks: _marginals
+# applied to the stats' own indices, so its formula exists only once.
+_MARGINAL_PAIRS = itemgetter(
+    *_marginals(np.arange(16).reshape(4, 4)).transpose(1, 0, 2).ravel().tolist())
 
-def _derived_checks(stats: np.ndarray) -> np.ndarray:
-    """Row totals and the marginal differences of A0, B0, A1, B1."""
-    m = _marginals(stats)
-    return np.concatenate([stats[:, 0], (m[..., 0] - m[..., 1]).T.ravel()])
 
-
-# _derived_checks as one (8, 16) map on the raveled row stats.  Each of its
-# rows has one or two entries +-1, so it rounds like the formula it maps.
-_CHECK_MAP = np.array([_derived_checks(unit.reshape(4, 4)) for unit in np.eye(16)]).T
-_CHECK_OFFSET = np.array([1.0] * 4 + [0.0] * 4)
-# from the order [-p raveled, |row total - 1|, |marginal difference|] to _CHECKS
-_REPORT_ORDER = np.array(
-    [k for row in range(4) for k in (*range(4 * row, 4 * row + 4), 16 + row)] + [20, 21, 22, 23])
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be a finite value >= 0, got {tol!r}")
 
 
 def validate_box(box: Box, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check positivity, normalization and no-signaling; empty list if valid."""
+    _check_tol(tol)
     if box.worst_check <= tol:
         return []
-    magnitudes = box.check_magnitudes
-    return [Violation(*_CHECKS[k], float(magnitudes[k]))
-            for k in np.flatnonzero(magnitudes > tol)]
+    return [Violation(*check, magnitude)
+            for check, magnitude in zip(_CHECKS, box._checks) if magnitude > tol]
 
 
 def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
+    _check_tol(tol)
     if box.worst_check > tol:
         raise InvalidBoxError("; ".join(
             f"{v.kind} at {v.location}" for v in validate_box(box, tol)))
@@ -219,7 +220,9 @@ def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
     """Probability of outcome 0 for the given party/input of a no-signaling box."""
     if party not in ("A", "B") or inp not in (0, 1):
         raise ValueError(f"unknown party {party!r} or input {inp!r}")
-    m0, m1 = box._marginal_pairs["AB".index(party)][inp]
+    _check_tol(tol)
+    k = 4 * inp + 2 * "AB".index(party)
+    m0, m1 = box._pairs[k], box._pairs[k + 1]
     if abs(m0 - m1) > tol:
         raise SignalingError(party, inp, (m0, m1))
     return 0.5 * (m0 + m1)
@@ -228,9 +231,10 @@ def marginal(box: Box, party: str, inp: int, tol: float = DEFAULT_TOL) -> float:
 def to_correlators(box: Box, tol: float = DEFAULT_TOL) -> CorrelatorForm:
     """C_X = P(a=0|X) - P(a=1|X), likewise C_Y; C_XY = P(a=b|XY) - P(a!=b|XY)."""
     require_valid(box, tol)
-    c_x, c_y = (_marginals(box.stats).sum(axis=-1) - 1.0).tolist()
-    c_xy = (2.0 * box.stats[:, 3] - box.stats[:, 0]).reshape(2, 2).tolist()
-    return CorrelatorForm(tuple(c_x), tuple(c_y), tuple(map(tuple, c_xy)))
+    m, s = box._pairs, box._stats
+    c_x, c_y = ((m[k] + m[k + 1] - 1.0, m[k + 4] + m[k + 5] - 1.0) for k in (0, 2))
+    c_xy = [2.0 * s[row + 3] - s[row] for row in range(0, 16, 4)]  # rows XY = 2X + Y
+    return CorrelatorForm(c_x, c_y, (tuple(c_xy[:2]), tuple(c_xy[2:])))
 
 
 def from_correlators(corr: CorrelatorForm, tol: float = DEFAULT_TOL) -> Box:

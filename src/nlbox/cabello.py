@@ -11,6 +11,7 @@ the table, q4 - q1 among them, is the form's value at each vertex dotted with c.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,10 +60,11 @@ def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> 
     arr = _as_coefficients(c)
     if arr.shape != (n,):
         raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    values = arr.tolist()
+    if not all(map(math.isfinite, values)):
         raise CoefficientError("non-finite coefficient")
-    if arr.min() < -tol:
-        raise CoefficientError(f"negative coefficient {arr.min()}")
+    if min(values) < -tol:
+        raise CoefficientError(f"negative coefficient {min(values)}")
     if abs(arr.sum() - 1.0) > tol:
         raise CoefficientError(f"coefficients sum to {arr.sum()}, not 1")
     return arr

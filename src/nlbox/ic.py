@@ -71,27 +71,23 @@ def ic_quantities(box: Box, tol: float = DEFAULT_TOL) -> ICQuantities:
     with Alice (``_a``) or Bob (``_b``) as the sender, from the agreements
     P(a=b|XY)."""
     require_valid(box, tol)
-    g00, g01, g10, g11 = box.stats[:, 3].tolist()  # P(a=b|XY)
-    return ICQuantities(
-        p_i_a=0.5 * (g00 + g10),
-        p_ii_a=0.5 * (g01 + (1.0 - g11)),
-        p_i_b=0.5 * (g00 + g01),
-        p_ii_b=0.5 * (g10 + (1.0 - g11)),
-    )
+    g00, g01, g10, g11 = box._stats[3::4]  # P(a=b|XY)
+    return ICQuantities(0.5 * (g00 + g10), 0.5 * (g01 + (1.0 - g11)),  # p_i_a, p_ii_a
+                        0.5 * (g00 + g01), 0.5 * (g10 + (1.0 - g11)))  # p_i_b, p_ii_b
 
 
 def ic_ab_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:
     """Alice-to-Bob condition: E_I^2 + E_II^2 <= 1."""
     q = ic_quantities(box, tol)
     lhs = q.e_i ** 2 + q.e_ii ** 2
-    return ICCheck(lhs=lhs, satisfied=lhs <= 1.0 + tol)
+    return ICCheck(lhs, lhs <= 1.0 + tol)
 
 
 def ic_ba_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:
     """Bob-to-Alice condition: F_I^2 + F_II^2 <= 1."""
     q = ic_quantities(box, tol)
     lhs = q.f_i ** 2 + q.f_ii ** 2
-    return ICCheck(lhs=lhs, satisfied=lhs <= 1.0 + tol)
+    return ICCheck(lhs, lhs <= 1.0 + tol)
 
 
 # Rows E_I, E_II, F_I, F_II of the biases at the eleven vertices: the biases
@@ -231,5 +227,5 @@ def rac_simulate(box: Box, tol: float = DEFAULT_TOL) -> RACOutcome:
     uniform marginals and mutual information 1 - h(P), h the binary entropy.
     """
     q = ic_quantities(box, tol)
-    return RACOutcome(q.p_i_a, q.p_ii_a,
-                      *(1.0 - _entropy(p, 1.0 - p) for p in (q.p_i_a, q.p_ii_a)))
+    p0, p1 = q.p_i_a, q.p_ii_a
+    return RACOutcome(p0, p1, 1.0 - _entropy(p0, 1.0 - p0), 1.0 - _entropy(p1, 1.0 - p1))

@@ -29,11 +29,6 @@ from .search import SearchResult, maximize
 
 HALF_PI = math.pi / 2
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # free polar angles stay clear of the degenerate cotangent boundaries
 ANGLE_MARGIN = 0.01
 
@@ -53,14 +48,6 @@ class MeasurementDirection:
     theta: float
     phi: float
 
-    @property
-    def n(self) -> np.ndarray:
-        return np.array([
-            math.sin(self.theta) * math.cos(self.phi),
-            math.sin(self.theta) * math.sin(self.phi),
-            math.cos(self.theta),
-        ])
-
 
 @dataclass(frozen=True)
 class QuantumScenario:
@@ -70,59 +57,32 @@ class QuantumScenario:
     b0: MeasurementDirection
     b1: MeasurementDirection
 
-    def direction(self, party: str, inp: int) -> MeasurementDirection:
-        return {("A", 0): self.a0, ("A", 1): self.a1,
-                ("B", 0): self.b0, ("B", 1): self.b1}[(party, inp)]
-
-
-def density_matrix(state: PureState) -> np.ndarray:
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = math.cos(state.beta)
-    psi[3] = np.exp(1j * state.gamma) * math.sin(state.beta)
-    return np.outer(psi, psi.conj())
-
-
-def projector(direction: MeasurementDirection, outcome: int) -> np.ndarray:
-    """Eigenprojector of n.sigma; outcome 0 is the + eigenstate."""
-    sign = 1.0 if outcome == 0 else -1.0
-    n = direction.n
-    return 0.5 * (_I2 + sign * (n[0] * _SX + n[1] * _SY + n[2] * _SZ))
-
-
-def joint_probability(scen: QuantumScenario, a: int, b: int, x: int, y: int) -> float:
-    rho = density_matrix(scen.state)
-    op = np.kron(projector(scen.direction("A", x), a),
-                 projector(scen.direction("B", y), b))
-    return float(np.real(np.trace(rho @ op)))
-
 
 def quantum_tables(beta, gamma, theta, phi) -> np.ndarray:
-    """Tables P(ab|XY) of many scenarios at once, in the Bloch form
+    """Tables P(ab|XY) of many scenarios at once, in the phase form
 
-        P(ab|xy) = (1 + a m_x.r + b n_y.r + a b m_x.T n_y) / 4
+        C_A = cos(2 beta) cos(theta_X),  C_B = cos(2 beta) cos(theta_Y),
+        C_AB = sin(2 beta) sin(theta_X) sin(theta_Y) cos(gamma - phi_X - phi_Y)
+               + cos(theta_X) cos(theta_Y),
 
-    with outcome signs a, b = +-1, built by ``boxes.from_correlator_rows``
-    from the rows (1, m_x.r, n_y.r, m_x.T n_y).  For cos(beta)|00> +
-    e^{i gamma} sin(beta)|11> both Bloch vectors are r = cos(2 beta) z, and
-    T has rows (s cos gamma, s sin gamma, 0), (s sin gamma, -s cos gamma, 0),
-    (0, 0, 1) with s = sin(2 beta).  ``beta`` and ``gamma`` have shape S,
-    ``theta`` and ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the
-    result has shape S + (4, 4), rows and columns ordered as in Box.
+    with outcome 0 counted as +1, built by ``boxes.from_correlator_rows``
+    from the rows (1, C_A, C_B, C_AB).  It is the Bloch form
+    P(ab|XY) = (1 + a m.r + b n.r + a b m.T n) / 4 of cos(beta)|00> +
+    e^{i gamma} sin(beta)|11>, whose Bloch vectors are r = cos(2 beta) z and
+    whose correlation matrix T turns the equatorial parts of m and n into
+    the phase cosine.  ``beta`` and ``gamma`` have shape S, ``theta`` and
+    ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the result has shape
+    S + (4, 4), rows and columns ordered as in Box.
     """
-    beta = np.asarray(beta, dtype=float)[..., None]
-    gamma = np.asarray(gamma, dtype=float)[..., None]
+    two_beta = 2.0 * np.asarray(beta, dtype=float)[..., None]
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    nx = np.sin(theta) * np.cos(phi)
-    ny = np.sin(theta) * np.sin(phi)
-    nz = np.cos(theta)
-    local = np.cos(2 * beta) * nz
-    s_cos = np.sin(2 * beta) * np.cos(gamma)
-    s_sin = np.sin(2 * beta) * np.sin(gamma)
-    tx = s_cos * nx[..., 2:] + s_sin * ny[..., 2:]
-    ty = s_sin * nx[..., 2:] - s_cos * ny[..., 2:]
-    corr = (nx[..., :2, None] * tx[..., None, :] + ny[..., :2, None] * ty[..., None, :]
-            + nz[..., :2, None] * nz[..., None, 2:])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    local = np.cos(two_beta) * cos_t  # C_A, C_A', C_B, C_B'
+    corr = ((np.sin(two_beta) * sin_t)[..., :2, None] * sin_t[..., None, 2:]
+            * np.cos(gamma - phi[..., :2, None] - phi[..., None, 2:])
+            + cos_t[..., :2, None] * cos_t[..., None, 2:])
     rows = np.empty(corr.shape + (4,))  # [..., X, Y, (1, C_A, C_B, C_AB)]
     rows[..., 0] = 1.0
     rows[..., 1] = local[..., :2, None]

@@ -3,9 +3,14 @@
 nlbox reads every linear form in the weights c1..c11 off its vertex stack
 (a Cabello table is c @ _VERTEX_STACK).  The forms here were written out by
 hand from the vertex tables instead, so the tests compare two independent
-derivations of the same forms.  mutual_information serves the enumerated
-RAC of tests/test_ic.py, the reference for rac_simulate.
+derivations of the same forms.  The rest are independent references too:
+check_magnitudes for validate_box, mutual_information for the enumerated RAC
+of tests/test_ic.py and so for rac_simulate, and joint_probability, which
+derives quantum probabilities from Kronecker products of Pauli projectors,
+for nlbox.quantum's phase form.
 """
+import math
+
 import numpy as np
 
 from nlbox.ic import _entropy
@@ -70,7 +75,64 @@ def input_row(inp):
     return _relation_row(INPUT_RELATION[inp])
 
 
+def check_magnitudes(p):
+    """The 24 magnitudes of validate_box's checks, in its report order, by
+    concatenation: per input row the negated entries and then |total - 1|,
+    then |P(outcome 0) difference over the remote input| of A0, B0, A1, B1."""
+    stats = p @ np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], float).T
+    grid = stats.reshape(2, 2, 4)  # [X, Y, stat]
+    m = np.array([grid[..., 1], grid[..., 2].T])  # [party, input, remote input]
+    return np.concatenate([
+        np.concatenate([-p, np.abs(stats[:, :1] - 1.0)], axis=1).ravel(),
+        np.abs(m[..., 0] - m[..., 1]).T.ravel(),
+    ])
+
+
 def mutual_information(joint):
     """I(X;Y) in bits from a 2x2 joint table, with 0 log 0 = 0."""
     (a, b), (c, d) = np.asarray(joint, dtype=float).tolist()
     return _entropy(a + b, c + d) + _entropy(a + c, b + d) - _entropy(a, b, c, d)
+
+
+_I2 = np.eye(2, dtype=complex)
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def bloch_vector(direction):
+    """Unit vector n of the measurement direction (theta, phi)."""
+    return np.array([
+        math.sin(direction.theta) * math.cos(direction.phi),
+        math.sin(direction.theta) * math.sin(direction.phi),
+        math.cos(direction.theta),
+    ])
+
+
+def direction(scen, party, inp):
+    """The scenario's measurement direction of the party's input."""
+    return {("A", 0): scen.a0, ("A", 1): scen.a1,
+            ("B", 0): scen.b0, ("B", 1): scen.b1}[(party, inp)]
+
+
+def density_matrix(state):
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = math.cos(state.beta)
+    psi[3] = np.exp(1j * state.gamma) * math.sin(state.beta)
+    return np.outer(psi, psi.conj())
+
+
+def projector(dirn, outcome):
+    """Eigenprojector of n.sigma; outcome 0 is the + eigenstate."""
+    sign = 1.0 if outcome == 0 else -1.0
+    n = bloch_vector(dirn)
+    return 0.5 * (_I2 + sign * (n[0] * _SX + n[1] * _SY + n[2] * _SZ))
+
+
+def joint_probability(scen, a, b, x, y):
+    """P(ab|xy) as the trace of the state's density matrix times the
+    Kronecker product of the two projectors."""
+    rho = density_matrix(scen.state)
+    op = np.kron(projector(direction(scen, "A", x), a),
+                 projector(direction(scen, "B", y), b))
+    return float(np.real(np.trace(rho @ op)))

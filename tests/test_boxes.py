@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+import reference
 from nlbox import boxes
 from nlbox.boxes import (
     Box,
@@ -88,9 +89,9 @@ class TestValidateBox:
             assert abs(v.magnitude - magnitude) <= 1e-12
 
 
-# (kind, location) of the 24 checks in report order, and the concatenation
-# formula that computed their magnitudes before Box cached them: the
-# independent reference for validate_box
+# (kind, location) of the 24 checks in report order; with the concatenation
+# formula of reference.check_magnitudes, the independent reference for
+# validate_box
 REFERENCE_CHECKS = [
     check for xy in ("00", "01", "10", "11") for check in
     [("positivity", f"P({ab}|{xy})") for ab in ("00", "01", "10", "11")]
@@ -99,14 +100,7 @@ REFERENCE_CHECKS = [
 
 
 def reference_report(box, tol):
-    p = box.p
-    stats = p @ np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], float).T
-    grid = stats.reshape(2, 2, 4)  # [X, Y, stat]
-    m = np.array([grid[..., 1], grid[..., 2].T])  # [party, input, remote input]
-    magnitudes = np.concatenate([
-        np.concatenate([-p, np.abs(stats[:, :1] - 1.0)], axis=1).ravel(),
-        np.abs(m[..., 0] - m[..., 1]).T.ravel(),
-    ])
+    magnitudes = reference.check_magnitudes(box.p)
     return [(*REFERENCE_CHECKS[k], float(magnitudes[k]))
             for k in np.flatnonzero(magnitudes > tol)]
 
@@ -134,7 +128,9 @@ class TestDerivedCache:
     def test_reports_match_the_concatenation_formula(self):
         for p in seeded_tables(21, 400):
             box = Box(p)
-            for tol in (-np.inf, 0.0, 1e-12, 1e-9, 0.1):
+            # all 24 magnitudes, the satisfied checks included, bit for bit
+            assert box.check_magnitudes.tobytes() == reference.check_magnitudes(box.p).tobytes()
+            for tol in (0.0, 1e-12, 1e-9, 0.1):
                 got = [(v.kind, v.location, v.magnitude) for v in validate_box(box, tol)]
                 want = reference_report(box, tol)
                 assert got == want  # magnitudes compared exactly
@@ -190,6 +186,82 @@ class TestDerivedCache:
             box.stats[0, 0] = 0.0
         with pytest.raises(ValueError):
             box.check_magnitudes[0] = 0.0
+
+
+class TestConstructionTimeFloats:
+    @staticmethod
+    def read_everything(box):
+        """Every reader of a box's derived data, on valid and invalid boxes."""
+        from nlbox.cabello import extract_q
+        from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied, ic_quantities, rac_simulate
+        from nlbox.localrandom import LR_INPUTS, is_locally_random
+
+        out = [box.worst_check, box.check_magnitudes.tolist(), validate_box(box),
+               extract_q(box), [box.prob(a, b, 1, 0) for a in (0, 1) for b in (0, 1)]]
+        for party in "AB":
+            for inp in (0, 1):
+                try:
+                    out.append(marginal(box, party, inp))
+                except SignalingError as exc:
+                    out.append(exc.values)
+        for inp in LR_INPUTS:
+            try:
+                out.append(is_locally_random(box, inp))
+            except SignalingError:
+                out.append(None)
+        if box.worst_check <= boxes.DEFAULT_TOL:
+            boxes.require_valid(box)
+            out += [ic_quantities(box), ic_ab_satisfied(box), ic_ba_satisfied(box),
+                    rac_simulate(box), to_correlators(box), chsh_value(box, 1, 1)]
+        else:
+            with pytest.raises(boxes.InvalidBoxError):
+                boxes.require_valid(box)
+        return out
+
+    def test_no_reader_computes_row_stats_again(self, monkeypatch):
+        from nlbox.cabello import cabello_box
+        from nlbox.quantum import canonical_scenario, quantum_box
+
+        made = [pr_box(), cabello_box(np.full(11, 1 / 11)),
+                quantum_box(canonical_scenario(0.6, 1.1, 2.0)),
+                Box(np.full((4, 4), 0.5)), Box(seeded_tables(5, 4)[2])]
+        before = [self.read_everything(box) for box in made]
+
+        def fail(p):
+            raise AssertionError("row_stats called")
+
+        monkeypatch.setattr(boxes, "row_stats", fail)
+        with pytest.raises(AssertionError, match="row_stats called"):
+            Box(pr_box().p)  # construction does read the patched name
+        assert [self.read_everything(box) for box in made] == before
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_non_finite_or_negative_tol_is_rejected(self, tol):
+        for box in (pr_box(), Box(np.full((4, 4), 0.5))):
+            for call in (lambda: validate_box(box, tol), lambda: boxes.require_valid(box, tol),
+                         lambda: marginal(box, "A", 0, tol)):
+                with pytest.raises(ValueError, match="tol must be a finite value >= 0") as exc:
+                    call()
+                assert not isinstance(exc.value, boxes.BoxError)
+
+    def test_ic_on_an_invalid_box_raises_for_any_tol(self):
+        from nlbox.ic import ic_ab_satisfied, rac_simulate
+
+        invalid = Box(np.full((4, 4), 0.5))
+        with pytest.raises(ValueError, match="tol must be"):
+            ic_ab_satisfied(invalid, math.nan)
+        for check in (ic_ab_satisfied, rac_simulate):
+            with pytest.raises(boxes.InvalidBoxError):
+                check(invalid)
+        assert validate_box(pr_box(), 0.0) == []
+
+    def test_sums_that_overflow_leave_the_box_invalid(self):
+        with np.errstate(over="ignore"):
+            box = Box(np.full((4, 4), 1e308))  # finite entries, infinite row sums
+        assert box.worst_check == math.inf
+        assert [v.kind for v in validate_box(box)] == ["normalization"] * 4
+        with pytest.raises(boxes.InvalidBoxError):
+            boxes.require_valid(box)
 
 
 class TestCorrelators:

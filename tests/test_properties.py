@@ -1,7 +1,8 @@
 """Property tests over the box layer: correlator round trips, the closed-form
 Cabello table and the coefficient-level IC conditions (both hand-written, in
-tests/reference.py)."""
+tests/reference.py), and the floats a Box derives at construction."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -45,3 +46,53 @@ def test_coefficient_level_ic_matches_box_level(c):
     assert abs(lhs1 - hand1) <= 1e-12 and abs(lhs2 - hand2) <= 1e-12
     assert abs(hand1 - (q.e_i ** 2 + q.e_ii ** 2)) <= 1e-12
     assert abs(hand2 - (q.f_i ** 2 + q.f_ii ** 2)) <= 1e-12
+
+
+# entries that break a table: negative, above 1, signed zeros and finite
+# values up to 1e300, whose sums of four stay finite
+ODD_ENTRIES = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                        st.floats(-1e300, 1e300))
+VERTEX_TABLES = np.array([v.p for v in VERTICES])
+
+
+@st.composite
+def tables(draw):
+    """Vertex mixtures, valid or not: some with an input row permuted (rows
+    still sum to 1, the marginals signal), some with entries replaced."""
+    p = np.tensordot(draw(simplex_points(len(VERTICES))), VERTEX_TABLES, 1)
+    if draw(st.booleans()):
+        row = draw(st.integers(0, 3))
+        p[row] = p[row][draw(st.permutations(range(4)))]
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 15), ODD_ENTRIES), max_size=6)):
+        p[divmod(k, 4)] = value
+    return p
+
+
+@PROPERTY
+@given(tables())
+def test_box_floats_match_the_array_formulas(p):
+    box = boxes.Box(p)
+    magnitudes = reference.check_magnitudes(box.p)
+    assert box.check_magnitudes.tobytes() == magnitudes.tobytes()
+    assert box.worst_check == magnitudes.max()  # a zero max may differ in sign
+    pairs = np.array(box._pairs).reshape(2, 2, 2).transpose(1, 0, 2)  # [party, input, remote]
+    assert pairs.tobytes() == boxes._marginals(boxes.row_stats(p)).tobytes()
+    cells = [[box.prob(a, b, x, y) for a in (0, 1) for b in (0, 1)] for x in (0, 1) for y in (0, 1)]
+    assert np.array(cells).tobytes() == box.p.tobytes()
+    agree = boxes.row_stats(p)[:, 3]  # P(a=b|XY)
+    want = 0.5 * np.array([agree[0] + agree[2], agree[1] + (1.0 - agree[3]),
+                           agree[0] + agree[1], agree[2] + (1.0 - agree[3])])
+    if box.worst_check <= boxes.DEFAULT_TOL:
+        q = ic_quantities(box)
+        assert np.array([q.p_i_a, q.p_ii_a, q.p_i_b, q.p_ii_b]).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(boxes.InvalidBoxError):
+            ic_quantities(box)
+
+
+@PROPERTY
+@given(tables(), st.integers(0, 15), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_a_non_finite_entry_is_malformed(p, k, value):
+    p[divmod(k, 4)] = value
+    with pytest.raises(boxes.MalformedBoxError, match="non-finite"):
+        boxes.Box(p)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import reference
 from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied
 from nlbox.localrandom import LR_INPUTS, is_locally_random
@@ -20,7 +21,6 @@ from nlbox.quantum import (
     QuantumScenario,
     canonical_scenario,
     case_geometry,
-    joint_probability,
     marginal_bias,
     max_cabello_qm,
     max_hardy_qm,
@@ -57,15 +57,15 @@ class TestJointProbability:
         scen = QuantumScenario(PureState(math.pi / 4), eq, eq, eq, eq)
         for x in (0, 1):
             for y in (0, 1):
-                assert abs(joint_probability(scen, 0, 0, x, y) - 0.5) <= 1e-12
-                assert abs(joint_probability(scen, 1, 1, x, y) - 0.5) <= 1e-12
-                assert abs(joint_probability(scen, 0, 1, x, y)) <= 1e-12
+                assert abs(reference.joint_probability(scen, 0, 0, x, y) - 0.5) <= 1e-12
+                assert abs(reference.joint_probability(scen, 1, 1, x, y) - 0.5) <= 1e-12
+                assert abs(reference.joint_probability(scen, 0, 1, x, y)) <= 1e-12
 
     def test_both_measure_z(self):
         z = MeasurementDirection(0.0, 0.0)
         for beta in (0.3, 0.7, 1.2):
             scen = QuantumScenario(PureState(beta), z, z, z, z)
-            assert abs(joint_probability(scen, 0, 0, 0, 0) - math.cos(beta) ** 2) <= 1e-12
+            assert abs(reference.joint_probability(scen, 0, 0, 0, 0) - math.cos(beta) ** 2) <= 1e-12
 
     def test_normalization(self):
         rng = np.random.default_rng(12)
@@ -74,7 +74,7 @@ class TestJointProbability:
             for x in (0, 1):
                 for y in (0, 1):
                     total = sum(
-                        joint_probability(scen, a, b, x, y)
+                        reference.joint_probability(scen, a, b, x, y)
                         for a in (0, 1) for b in (0, 1)
                     )
                     assert abs(total - 1.0) <= 1e-12
@@ -96,8 +96,25 @@ class TestQuantumBox:
                 for y in (0, 1):
                     for a in (0, 1):
                         for b in (0, 1):
-                            kron = joint_probability(scen, a, b, x, y)
+                            kron = reference.joint_probability(scen, a, b, x, y)
                             assert abs(table[2 * x + y, 2 * a + b] - kron) <= 1e-14
+
+    def test_batch_of_shape_3_5_matches_quantum_box_and_kron(self):
+        rng = np.random.default_rng(18)
+        scens = [[random_scenario(rng) for _ in range(5)] for _ in range(3)]
+        dirs = lambda s: (s.a0, s.a1, s.b0, s.b1)
+        tables = quantum_tables(
+            [[s.state.beta for s in row] for row in scens],
+            [[s.state.gamma for s in row] for row in scens],
+            [[[d.theta for d in dirs(s)] for s in row] for row in scens],
+            [[[d.phi for d in dirs(s)] for s in row] for row in scens])
+        assert tables.shape == (3, 5, 4, 4)
+        for row, row_tables in zip(scens, tables):
+            for scen, table in zip(row, row_tables):
+                np.testing.assert_array_equal(quantum_box(scen).p, table)
+                kron = [[reference.joint_probability(scen, a, b, x, y)
+                         for a in (0, 1) for b in (0, 1)] for x in (0, 1) for y in (0, 1)]
+                assert np.abs(table - kron).max() <= 1e-14
 
     def test_valid_no_signaling(self):
         rng = np.random.default_rng(13)
@@ -111,7 +128,7 @@ class TestQuantumBox:
             box = quantum_box(scen)
             for party in "AB":
                 for inp in (0, 1):
-                    expected = marginal_bias(scen.state, scen.direction(party, inp))
+                    expected = marginal_bias(scen.state, reference.direction(scen, party, inp))
                     assert abs(marginal(box, party, inp) - expected) <= 1e-12
 
     def test_satisfies_ic_conditions(self):
