@@ -239,6 +239,7 @@ def to_correlators(box: Box, tol: float = DEFAULT_TOL) -> CorrelatorForm:
 
 def from_correlators(corr: CorrelatorForm, tol: float = DEFAULT_TOL) -> Box:
     """Invert to the probability table; raise if any entry leaves [0, 1]."""
+    _check_tol(tol)
     rows = np.stack([np.ones(4), np.repeat(corr.c_x, 2), np.tile(corr.c_y, 2),
                      np.ravel(corr.c_xy)], -1)  # rows XY = 2X + Y
     p = from_correlator_rows(rows)
@@ -293,6 +294,7 @@ def all_nonlocal_vertices() -> list[Box]:
 
 def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL) -> Box:
     """Entrywise convex combination of boxes."""
+    _check_tol(tol)
     w = np.array(list(weights), dtype=float)
     if len(boxes) != len(w):
         raise ValueError(f"{len(boxes)} boxes but {len(w)} weights")

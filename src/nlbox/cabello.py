@@ -57,6 +57,7 @@ def _as_coefficients(c) -> np.ndarray:
 
 
 def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    boxes._check_tol(tol)
     arr = _as_coefficients(c)
     if arr.shape != (n,):
         raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")

@@ -6,11 +6,17 @@ locally random inputs translates into an affine system over the weights
 c1..c11, written below with the shorthand eta = (1 - c6 - c11)/2.  The
 15 cases enumerate the nonempty input subsets: all four, the four
 triples, the six pairs, then the four singletons.
+
+Each case's system, its reduced simplex map and the Table 2 fixture rows
+are constants of the paper: each is built on first use, once per process,
+and shared with read-only arrays.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -123,27 +129,47 @@ def lr_cases() -> tuple[int, ...]:
 
 
 def case_inputs(case_id: int) -> tuple[str, ...]:
-    _check_case(case_id)
-    return _CASE_TABLE[case_id][0]
+    return _CASE_TABLE[_check_case(case_id)][0]
 
 
-def _check_case(case_id: int) -> None:
-    if case_id not in _CASE_TABLE:
+def _check_case(case_id: int) -> int:
+    """The case id as its int key; an int or numpy integer in 1..15."""
+    try:
+        key = operator.index(case_id)
+    except TypeError:
+        key = None
+    if isinstance(case_id, bool) or key not in _CASE_TABLE:
         raise ValueError(f"case id must be 1..15, got {case_id}")
+    return key
 
 
-def lr_constraints(case_id: int) -> ConstraintSystem:
-    """Affine system of the given case."""
-    _check_case(case_id)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.cache
+def _system(case_id: int) -> ConstraintSystem:
     inputs, relations = _CASE_TABLE[case_id]
     rows = [_relation_row(rel) for rel in relations]
     return ConstraintSystem(
         case_id=case_id,
         inputs=inputs,
         relations=tuple(relations),
-        a=np.array([r[0] for r in rows]),
-        b=np.array([r[1] for r in rows]),
+        a=_read_only(np.array([r[0] for r in rows])),
+        b=_read_only(np.array([r[1] for r in rows])),
     )
+
+
+@functools.cache
+def _simplex_map(case_id: int) -> _SimplexMap:
+    system = _system(case_id)
+    return _SimplexMap(11, (system.a, system.b))
+
+
+def lr_constraints(case_id: int) -> ConstraintSystem:
+    """Affine system of the given case, shared: its arrays are read-only."""
+    return _system(_check_case(case_id))
 
 
 def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
@@ -162,8 +188,8 @@ def feasibility_witness(case_id: int, seed: int = 0) -> Optional[np.ndarray]:
     nonnegative and passes both inequalities; None only when 100,000 draws
     all fail (not expected, every case is feasible).
     """
-    system = lr_constraints(case_id)
-    smap = _SimplexMap(11, (system.a, system.b))
+    case_id = _check_case(case_id)
+    smap = _simplex_map(case_id)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, case_id))))
     for _ in range(100000):
         c = smap.draw(rng)
@@ -174,8 +200,7 @@ def feasibility_witness(case_id: int, seed: int = 0) -> Optional[np.ndarray]:
 
 def sample_case_point(case_id: int, rng: np.random.Generator) -> np.ndarray:
     """One simplex point solving the case's affine system."""
-    system = lr_constraints(case_id)
-    return _SimplexMap(11, (system.a, system.b)).sample(rng)
+    return _simplex_map(_check_case(case_id)).sample(rng)
 
 
 @dataclass(frozen=True)
@@ -196,18 +221,22 @@ class Table2Check:
 
 
 def load_table2_fixture() -> list[Table2Row]:
+    """The shipped Table 2 rows, in a new list of shared rows whose c is read-only."""
+    return list(_fixture_rows())
+
+
+@functools.cache
+def _fixture_rows() -> tuple[Table2Row, ...]:
     text = resources.files("nlbox.data").joinpath("table2.csv").read_text()
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            Table2Row(
-                case_id=int(rec["case"]),
-                c=np.array([float(rec[f"c{i}"]) for i in range(1, 12)]),
-                lhs1=float(rec["lhs1"]),
-                lhs2=float(rec["lhs2"]),
-            )
+    return tuple(
+        Table2Row(
+            case_id=int(rec["case"]),
+            c=_read_only(np.array([float(rec[f"c{i}"]) for i in range(1, 12)])),
+            lhs1=float(rec["lhs1"]),
+            lhs2=float(rec["lhs2"]),
         )
-    return rows
+        for rec in csv.DictReader(io.StringIO(text))
+    )
 
 
 def verify_table2(

@@ -113,6 +113,11 @@ class _SimplexMap:
         self.dim = dim
         self.a, self.b, self.pivots = _rref(np.array(rows), np.array(rhs))
         self.free = [c for c in range(dim) if c not in self.pivots]
+        # the pivot block as the fancy index returns it: a contiguous copy
+        # takes another matmul path and changes the last bits of full()
+        self._a_free = self.a[:, self.free]
+        for arr in (self.a, self.b, self._a_free):
+            arr.flags.writeable = False
 
     @property
     def n_free(self) -> int:
@@ -121,7 +126,7 @@ class _SimplexMap:
     def full(self, free_vals: np.ndarray) -> np.ndarray:
         x = np.zeros(self.dim)
         x[self.free] = free_vals
-        x[self.pivots] = self.b - self.a[:, self.free] @ free_vals
+        x[self.pivots] = self.b - self._a_free @ free_vals
         return x
 
     def draw(self, rng: np.random.Generator) -> Optional[np.ndarray]:

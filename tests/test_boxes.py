@@ -301,6 +301,15 @@ class TestCorrelators:
                 CorrelatorForm((1.0, 1.0), (1.0, 1.0), ((1.0, 1.0), (1.0, 2.0)))
             )
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_non_finite_or_negative_tol_is_rejected(self, tol):
+        # unchecked, tol = nan would clip an out-of-range entry without an error
+        for corr in (to_correlators(pr_box()),
+                     CorrelatorForm((1.0, 1.0), (1.0, 1.0), ((1.0, 1.0), (1.0, 2.0)))):
+            with pytest.raises(ValueError, match="tol must be a finite value >= 0") as exc:
+                from_correlators(corr, tol)
+            assert not isinstance(exc.value, InfeasibleCorrelatorError)
+
     def test_round_trip_on_random_mixtures(self):
         verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
         rng = np.random.default_rng(7)
@@ -402,6 +411,13 @@ class TestMix:
             mix([pr_box(), uniform_box()], [0.7, 0.7])
         with pytest.raises(ValueError):
             mix([pr_box()], [0.5, 0.5])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_non_finite_or_negative_tol_is_rejected(self, tol):
+        # weights (3, -2) would give an entry of -0.5 under tol = nan
+        for weights in ([0.5, 0.5], [3.0, -2.0]):
+            with pytest.raises(ValueError, match="tol must be a finite value >= 0"):
+                mix([pr_box(), uniform_box()], weights, tol)
 
 
 class TestChsh:

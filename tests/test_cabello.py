@@ -1,4 +1,5 @@
 """Hardy/Cabello box families, closed-form matrix and NS maximum."""
+import math
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from nlbox.cabello import (
     ns_max_success,
     success_closed_form,
 )
-from nlbox.ic import max_success_under_ic
+from nlbox.ic import ic_cabello_lhs, max_success_under_ic
 
 
 def coeffs(**kv):
@@ -91,6 +92,18 @@ class TestCabelloBox:
             cabello_box(coeffs(c1=1.2, c2=-0.2))
         with pytest.raises(CoefficientError):
             cabello_box(np.ones(10) / 10)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_non_finite_or_negative_tol_is_rejected(self, tol):
+        # check_coefficients serves all three; unchecked, tol = nan would let
+        # the weights (2, -1.5, 0, ...) make a box with an entry of -1.5, and
+        # tol = -1 would refuse the corner c1 = 1 as "negative coefficient 0.0"
+        for c in (coeffs(c1=1), coeffs(c1=2.0, c2=-1.5)):
+            for call in (lambda: cabello_box(c, tol), lambda: hardy_box(c[:6], tol),
+                         lambda: ic_cabello_lhs(c, tol)):
+                with pytest.raises(ValueError, match="tol must be a finite value >= 0") as exc:
+                    call()
+                assert not isinstance(exc.value, CoefficientError)
 
 
 class TestVertexStack:

@@ -1,9 +1,12 @@
 """Local randomness, the 15 case constraint systems and the table fixture."""
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 import reference
-from nlbox import boxes
+from nlbox import boxes, cli, localrandom, search
 from nlbox.boxes import marginal
 from nlbox.cabello import CABELLO_VERTICES, cabello_box
 from nlbox.ic import ic_cabello_lhs
@@ -77,8 +80,24 @@ class TestCaseEnumeration:
         assert "c5 = c7 + c8 + c9 + c10" in relations
 
     def test_bad_case_id(self):
-        with pytest.raises(ValueError):
-            lr_constraints(0)
+        # a bool or a float, even an integral one, is not a case id
+        rng = np.random.default_rng(0)
+        for case_id in (0, 16, -1, True, False, np.True_, 1.0, 1.5, np.float64(2.0), "1", None):
+            for call in (lambda: lr_constraints(case_id), lambda: case_inputs(case_id),
+                         lambda: feasibility_witness(case_id),
+                         lambda: sample_case_point(case_id, rng)):
+                with pytest.raises(ValueError, match="case id must be 1..15"):
+                    call()
+
+    @pytest.mark.parametrize("make", [int, np.int64, np.int32, np.uint8])
+    def test_integer_case_ids_give_the_int_keyed_system(self, make):
+        for cid in lr_cases():
+            system = lr_constraints(make(cid))
+            assert type(system.case_id) is int and system.case_id == cid
+            assert system is lr_constraints(cid)
+            assert case_inputs(make(cid)) == case_inputs(cid)
+        np.testing.assert_array_equal(feasibility_witness(make(5), seed=2),
+                                      feasibility_witness(5, seed=2))
 
 
 class TestConstraintMarginalEquivalence:
@@ -186,7 +205,7 @@ class TestFeasibilityWitness:
     def test_witness_is_first_feasible_draw_of_the_seeded_stream(self):
         # each draw takes one uniform scale and one exponential spacing per
         # free coordinate; the witness is the first nonnegative IC-feasible one
-        for cid in (1, 9, 12):
+        for cid in lr_cases():
             for seed in range(3):
                 system = lr_constraints(cid)
                 smap = _SimplexMap(11, (system.a, system.b))
@@ -229,3 +248,62 @@ class TestTable2Fixture:
         c13_row = coeffs(c8=0.5, c10=0.5)
         lhs = ic_cabello_lhs(c13_row)
         assert (round(lhs[0], 4), round(lhs[1], 4)) == (0.5, 0.0)
+
+
+def assert_read_only(*arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
+class TestSharedConstants:
+    """The 15 systems, their simplex maps and the fixture rows are built once
+    per process and handed out with read-only arrays."""
+
+    def test_repeat_calls_return_the_same_read_only_objects(self):
+        for cid in lr_cases():
+            system = lr_constraints(cid)
+            assert lr_constraints(cid) is system
+            assert_read_only(system.a, system.b)
+            smap = localrandom._simplex_map(cid)
+            assert localrandom._simplex_map(cid) is smap
+            assert_read_only(smap.a, smap.b, smap._a_free)
+        rows, again = load_table2_fixture(), load_table2_fixture()
+        assert rows is not again and len(rows) == len(again) == 45
+        assert all(r is s for r, s in zip(rows, again))
+        rows.clear()
+        assert len(load_table2_fixture()) == 45
+        assert_read_only(*(row.c for row in again))
+
+    def test_arrays_equal_a_fresh_parse_bit_for_bit(self):
+        for cid in lr_cases():
+            system = lr_constraints(cid)
+            parsed = [localrandom._relation_row(rel) for rel in system.relations]
+            a = np.array([row[0] for row in parsed])
+            b = np.array([row[1] for row in parsed])
+            assert system.a.dtype == a.dtype and system.a.shape == a.shape
+            assert system.a.tobytes() == a.tobytes(), cid
+            assert system.b.dtype == b.dtype and system.b.tobytes() == b.tobytes(), cid
+
+    def test_warm_commands_parse_and_reduce_nothing(self, monkeypatch):
+        commands = [["table1"], ["table1", "--format", "csv"], ["table2", "--seed", "4"],
+                    ["table2", "--format", "csv"]]
+        commands += [["lr-case", str(cid), "--seed", "3"] for cid in lr_cases()]
+
+        def run_all():
+            out = []
+            for argv in commands:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    out.append((cli.main(argv), buf.getvalue()))
+            return out
+
+        warm = run_all()
+
+        def fail(*args):
+            raise AssertionError("derived again")
+
+        monkeypatch.setattr(localrandom, "_relation_row", fail)
+        monkeypatch.setattr(search, "_rref", fail)
+        assert run_all() == warm
+        assert all(rc == 0 for rc, _ in warm)
