@@ -27,6 +27,8 @@ _PAIRS = tuple(f"{x}{y}" for x, y in ROW_OF)  # labels of the rows XY and column
 # total, C_A, C_B and C_AB of each row instead, and its inverse takes rows
 # (1, C_A, C_B, C_AB) back to the table.  2 _ROW_MAP - 1 is a symmetric
 # Hadamard matrix (its square is 4 I), so that inverse is it divided by 4.
+# Both maps are symmetric, so row_stats and from_correlator_rows multiply by
+# them directly instead of by a transposed, non-contiguous view.
 _ROW_MAP = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=float)
 _FROM_CORRELATORS = (2.0 * _ROW_MAP - 1.0) / 4.0
 
@@ -74,11 +76,14 @@ def _as_table(p) -> np.ndarray:
 class Box:
     """Immutable 4x4 joint-distribution table P(ab|XY).
 
-    Construction reads the table once: one ``row_stats`` matmul, after which
-    the cells, row stats, marginal pairs and check magnitudes are kept as
-    plain floats, so that the readers below do scalar arithmetic only.  The
-    table is a read-only copy, so these never go stale, and none depends on
-    a tolerance.
+    Construction reads the table once, with one ``row_stats`` matmul, and
+    keeps as plain floats the 16 cells, the 16 row stats, the 8 marginal
+    pairs of the no-signaling checks and ``worst_check``, the largest check
+    magnitude.  The readers below do scalar arithmetic on these only.  The
+    24 magnitudes themselves, in ``validate_box``'s report order, are built
+    on demand from those floats, when ``check_magnitudes`` is read or when
+    ``validate_box`` has a violation to report.  The table is a read-only
+    copy, so none of this goes stale, and none of it depends on a tolerance.
     """
 
     p: np.ndarray
@@ -91,31 +96,42 @@ class Box:
         arr.setflags(write=False)
         stats = row_stats(arr)
         stats.setflags(write=False)
-        values = stats.ravel().tolist()
-        pairs = _MARGINAL_PAIRS(values)
-        c, s, m = cells, values, pairs
-        checks = [-c[0], -c[1], -c[2], -c[3], abs(s[0] - 1.0),  # in the order of _CHECKS
-                  -c[4], -c[5], -c[6], -c[7], abs(s[4] - 1.0),
-                  -c[8], -c[9], -c[10], -c[11], abs(s[8] - 1.0),
-                  -c[12], -c[13], -c[14], -c[15], abs(s[12] - 1.0),
-                  abs(m[0] - m[1]), abs(m[2] - m[3]), abs(m[4] - m[5]), abs(m[6] - m[7])]
-        # max skips NaN magnitudes; only sums that overflow make them, and a
-        # table whose sums overflow fails another check by more than 1e307.
-        # The instance is frozen, so its attributes go into __dict__ at once.
-        self.__dict__.update(p=arr, stats=stats, _cells=cells, _stats=values, _pairs=pairs,
-                             _checks=checks, worst_check=max(checks))
+        s = stats.ravel().tolist()
+        m = _MARGINAL_PAIRS(s)
+        # The max of the 24 magnitudes: the worst positivity and the 4 gaps
+        # each of normalization and no-signaling.  max skips NaN magnitudes
+        # after its finite first term; only sums that overflow make them,
+        # and a table whose sums overflow fails another check by more than
+        # 1e307.  The instance is frozen, so its attributes go into __dict__.
+        worst = max(-min(cells), abs(s[0] - 1.0), abs(s[4] - 1.0), abs(s[8] - 1.0),
+                    abs(s[12] - 1.0), abs(m[0] - m[1]), abs(m[2] - m[3]),
+                    abs(m[4] - m[5]), abs(m[6] - m[7]))
+        self.__dict__.update(p=arr, stats=stats, _cells=cells, _stats=s, _pairs=m,
+                             worst_check=worst)
+
+    def _magnitudes(self) -> list[float]:
+        """The 24 check magnitudes, in the order of _CHECKS."""
+        c, s, m = self._cells, self._stats, self._pairs
+        return [-c[0], -c[1], -c[2], -c[3], abs(s[0] - 1.0),
+                -c[4], -c[5], -c[6], -c[7], abs(s[4] - 1.0),
+                -c[8], -c[9], -c[10], -c[11], abs(s[8] - 1.0),
+                -c[12], -c[13], -c[14], -c[15], abs(s[12] - 1.0),
+                abs(m[0] - m[1]), abs(m[2] - m[3]), abs(m[4] - m[5]), abs(m[6] - m[7])]
 
     @property
     def check_magnitudes(self) -> np.ndarray:
         """The 24 magnitudes of the checks of ``validate_box``, in report
         order, read-only; the box is valid within tol iff ``worst_check``,
         their max, is <= tol."""
-        magnitudes = np.array(self._checks)
+        magnitudes = np.array(self._magnitudes())
         magnitudes.setflags(write=False)
         return magnitudes
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return self._cells[4 * ROW_OF[(x, y)] + ROW_OF[(a, b)]]
+        try:
+            return self._cells[4 * ROW_OF[(x, y)] + ROW_OF[(a, b)]]
+        except KeyError:
+            raise ValueError(f"unknown outcomes {a!r}, {b!r} or inputs {x!r}, {y!r}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Box) and np.array_equal(self.p, other.p)
@@ -166,12 +182,12 @@ class Violation:
 def row_stats(p) -> np.ndarray:
     """Per input row XY of tables p (..., 4, 4): the row total, P(a=0|XY),
     P(b=0|XY) and P(a=b|XY), in a last axis of length 4."""
-    return np.asarray(p, dtype=float) @ _ROW_MAP.T
+    return np.asarray(p, dtype=float) @ _ROW_MAP  # symmetric: equal to _ROW_MAP.T
 
 
 def from_correlator_rows(rows) -> np.ndarray:
     """Tables (..., 4, 4) from their rows (1, C_A, C_B, C_AB) per input XY."""
-    return np.asarray(rows, dtype=float) @ _FROM_CORRELATORS.T
+    return np.asarray(rows, dtype=float) @ _FROM_CORRELATORS  # symmetric: equal to its .T
 
 
 def _marginals(stats: np.ndarray) -> np.ndarray:
@@ -206,7 +222,7 @@ def validate_box(box: Box, tol: float = DEFAULT_TOL) -> list[Violation]:
     if box.worst_check <= tol:
         return []
     return [Violation(*check, magnitude)
-            for check, magnitude in zip(_CHECKS, box._checks) if magnitude > tol]
+            for check, magnitude in zip(_CHECKS, box._magnitudes()) if magnitude > tol]
 
 
 def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:

@@ -66,8 +66,12 @@ def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> 
         raise CoefficientError("non-finite coefficient")
     if min(values) < -tol:
         raise CoefficientError(f"negative coefficient {min(values)}")
-    if abs(arr.sum() - 1.0) > tol:
-        raise CoefficientError(f"coefficients sum to {arr.sum()}, not 1")
+    try:
+        total = math.fsum(values)  # correctly rounded, so the message reports the exact sum
+    except OverflowError:  # every weight is >= -tol here, so the sum is +inf
+        total = math.inf
+    if abs(total - 1.0) > tol:
+        raise CoefficientError(f"coefficients sum to {total}, not 1")
     return arr
 
 
@@ -87,12 +91,16 @@ def coefficients_from_json(text: str) -> np.ndarray:
     return cabello_coefficients(data["c"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SuccessMetrics:
     q1: float
     q2: float
     q3: float
     q4: float
+
+    def __init__(self, q1: float, q2: float, q3: float, q4: float):
+        # frozen: one __dict__ update instead of a setattr per field, as in Box
+        self.__dict__.update(q1=q1, q2=q2, q3=q3, q4=q4)
 
     @property
     def success(self) -> float:
@@ -116,12 +124,9 @@ cabello_matrix_closed_form = cabello_box
 
 
 def extract_q(box: Box) -> SuccessMetrics:
-    return SuccessMetrics(
-        q1=box.prob(0, 0, 0, 0),
-        q2=box.prob(1, 1, 0, 1),
-        q3=box.prob(1, 1, 1, 0),
-        q4=box.prob(1, 1, 1, 1),
-    )
+    """q1..q4: the cells P(00|00), P(11|01), P(11|10), P(11|11) of the raveled table."""
+    cells = box._cells
+    return SuccessMetrics(cells[0], cells[7], cells[11], cells[15])
 
 
 def success_closed_form(c: Sequence[float]) -> float:

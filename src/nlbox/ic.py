@@ -20,12 +20,17 @@ from .cabello import CABELLO_VERTICES, _SUCCESS, check_coefficients, success_clo
 from .search import DomainError, SearchResult, maximize
 
 
-@dataclass(frozen=True)
+# The three records below are frozen dataclasses built as Box is: one
+# __dict__ update instead of a setattr per field.
+@dataclass(frozen=True, init=False)
 class ICQuantities:
     p_i_a: float
     p_ii_a: float
     p_i_b: float
     p_ii_b: float
+
+    def __init__(self, p_i_a: float, p_ii_a: float, p_i_b: float, p_ii_b: float):
+        self.__dict__.update(p_i_a=p_i_a, p_ii_a=p_ii_a, p_i_b=p_i_b, p_ii_b=p_ii_b)
 
     @property
     def e_i(self) -> float:
@@ -44,22 +49,28 @@ class ICQuantities:
         return 2.0 * self.p_ii_b - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ICCheck:
     lhs: float
     satisfied: bool
+
+    def __init__(self, lhs: float, satisfied: bool):
+        self.__dict__.update(lhs=lhs, satisfied=satisfied)
 
     @property
     def margin(self) -> float:
         return 1.0 - self.lhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RACOutcome:
     p_bit0: float
     p_bit1: float
     mi_bit0: float
     mi_bit1: float
+
+    def __init__(self, p_bit0: float, p_bit1: float, mi_bit0: float, mi_bit1: float):
+        self.__dict__.update(p_bit0=p_bit0, p_bit1=p_bit1, mi_bit0=mi_bit0, mi_bit1=mi_bit1)
 
     @property
     def total(self) -> float:

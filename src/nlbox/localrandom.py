@@ -31,6 +31,7 @@ from .ic import ic_cabello_lhs
 from .search import _SimplexMap
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
+_PARTY_INPUT = {inp: (inp[-1], int(inp[0])) for inp in LR_INPUTS}  # "1_B" -> ("B", 1)
 
 # the 15 case rows: locally random inputs and their coefficient relations
 _CASE_TABLE: dict[int, tuple[tuple[str, ...], list[str]]] = {
@@ -174,10 +175,10 @@ def lr_constraints(case_id: int) -> ConstraintSystem:
 
 def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
     """True iff the input's outcome marginal is 1/2 for either remote input."""
-    if inp not in LR_INPUTS:
-        raise ValueError(f"unknown input {inp!r}")
-    party = inp[-1]
-    x = int(inp[0])
+    try:
+        party, x = _PARTY_INPUT[inp]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise ValueError(f"unknown input {inp!r}") from None
     return abs(marginal(box, party, x, tol) - 0.5) <= tol
 
 

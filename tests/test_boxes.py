@@ -255,6 +255,39 @@ class TestConstructionTimeFloats:
                 check(invalid)
         assert validate_box(pr_box(), 0.0) == []
 
+    def test_a_nan_magnitude_is_skipped(self):
+        # rows 00 and 01 both start 1e308, 1e308: P(a=0|00) and P(a=0|01)
+        # are inf, so A0's no-signaling magnitude is inf - inf = nan
+        p = [[1e308, 1e308, 0.0, 0.0]] * 2 + [[0.25] * 4] * 2
+        with np.errstate(over="ignore"):
+            box = Box(p)
+        magnitudes = box.check_magnitudes.tolist()
+        assert math.isnan(magnitudes[20])
+        assert box.worst_check == max(m for m in magnitudes if not math.isnan(m)) == math.inf
+        expected = [("normalization", "row XY=00", math.inf),
+                    ("normalization", "row XY=01", math.inf),
+                    ("no-signaling", "party B, input 0", 1e308),
+                    ("no-signaling", "party B, input 1", 1e308)]
+        for tol in (0.0, boxes.DEFAULT_TOL):
+            assert [(v.kind, v.location, v.magnitude)
+                    for v in validate_box(box, tol)] == expected
+
+    def test_valid_boxes_never_build_the_check_list(self, monkeypatch):
+        from nlbox.cabello import cabello_box, extract_q
+        from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied, rac_simulate
+
+        def fail(box):
+            raise AssertionError("check list built")
+
+        monkeypatch.setattr(Box, "_magnitudes", fail)
+        for box in (pr_box(), cabello_box(np.full(11, 1 / 11)), Box(seeded_tables(5, 4)[0])):
+            assert validate_box(box) == []
+            boxes.require_valid(box)
+            for read in (extract_q, ic_ab_satisfied, ic_ba_satisfied, rac_simulate):
+                read(box)
+        with pytest.raises(AssertionError, match="check list built"):
+            validate_box(Box(np.full((4, 4), 0.5)))
+
     def test_sums_that_overflow_leave_the_box_invalid(self):
         with np.errstate(over="ignore"):
             box = Box(np.full((4, 4), 1e308))  # finite entries, infinite row sums
@@ -473,8 +506,21 @@ class TestMarginal:
             with pytest.raises(ValueError):
                 marginal(pr_box(), party, inp)
 
+    @pytest.mark.parametrize("bits", [(2, 0, 0, 0), (0, -1, 0, 0), (0, 0, 2, 1), (1, 1, 0, 3)])
+    def test_prob_of_a_bit_outside_0_1_names_the_bits(self, bits):
+        a, b, x, y = bits
+        with pytest.raises(ValueError) as exc:
+            pr_box().prob(a, b, x, y)
+        assert str(exc.value) == f"unknown outcomes {a}, {b} or inputs {x}, {y}"
+
 
 class TestRowMap:
+    def test_both_maps_are_symmetric(self):
+        # row_stats and from_correlator_rows multiply by them untransposed
+        for m in (boxes._ROW_MAP, boxes._FROM_CORRELATORS):
+            assert np.array_equal(m, m.T)
+        np.testing.assert_array_equal(boxes.row_stats(pr_box().p), pr_box().p @ boxes._ROW_MAP.T)
+
     def test_row_stats_of_the_pr_box(self):
         # per row XY: total, P(a=0|XY), P(b=0|XY), P(a=b|XY)
         expected = [[1.0, 0.5, 0.5, 1.0]] * 3 + [[1.0, 0.5, 0.5, 0.0]]

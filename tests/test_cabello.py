@@ -93,6 +93,30 @@ class TestCabelloBox:
         with pytest.raises(CoefficientError):
             cabello_box(np.ones(10) / 10)
 
+    def test_coefficient_error_reports_the_exact_sum(self):
+        # eleven weights 0.15 sum to 1.65; summed in order, or by numpy's
+        # pairwise sum, the rounding gives 1.6499999999999997
+        with pytest.raises(CoefficientError) as exc:
+            cabello_box(np.full(11, 0.15))
+        assert str(exc.value) == "coefficients sum to 1.65, not 1"
+
+    def test_a_sum_that_overflows_is_a_coefficient_error(self):
+        # math.fsum raises OverflowError on it; the weights are >= 0, so it is +inf
+        with pytest.raises(CoefficientError) as exc:
+            cabello_box(coeffs(c1=1e308, c2=1e308))
+        assert str(exc.value) == "coefficients sum to inf, not 1"
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_weights_off_by_half_the_tol_pass_and_by_twice_fail(self, tol):
+        for shift in (0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol):
+            for c in (coeffs(c1=1.0 + shift), np.full(11, (1.0 + shift) / 11)):
+                if abs(shift) < tol:
+                    box = cabello_box(c, tol)
+                    assert np.abs(box.p - reference.cabello_table(c)).max() <= 1e-15
+                else:
+                    with pytest.raises(CoefficientError, match="coefficients sum to"):
+                        cabello_box(c, tol)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
     def test_non_finite_or_negative_tol_is_rejected(self, tol):
         # check_coefficients serves all three; unchecked, tol = nan would let

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,32 @@ class TestValidate:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
+class TestOverflowingTable:
+    """A uniform table whose first row is 1e308, 1e308, 0, 0: its row sums
+    overflow, and each command reports the box without a numpy warning."""
+
+    TABLE = [[1e308, 1e308, 0.0, 0.0]] + [[0.25] * 4] * 3
+    REPORT = ("normalization at row XY=00; no-signaling at party A, input 0; "
+              "no-signaling at party B, input 0")
+
+    @pytest.mark.parametrize("argv, code", [(["validate"], 1), (["rac", "--box"], 2),
+                                            (["ic", "--box"], 2)])
+    def test_stderr_is_exact(self, tmp_path, capsys, argv, code):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"p": self.TABLE}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would raise here
+            assert nlbox.cli.main([*argv, str(path)]) == code
+        out = capsys.readouterr()
+        if argv == ["validate"]:
+            assert out.err == ""
+            report = json.loads(out.out)
+            assert [f"{v['kind']} at {v['location']}" for v in report["violations"]] == \
+                self.REPORT.split("; ")
+        else:
+            assert out.out == "" and out.err == f"error: {self.REPORT}\n"
+
+
 class TestUnreadFlags:
     @pytest.mark.parametrize("args", [
         "validate - --format csv",
@@ -194,6 +221,13 @@ class TestCoefficientCommands:
         assert inline.returncode == from_file.returncode == 2
         assert inline.stderr == from_file.stderr
         assert inline.stderr.count("\n") == 1 and inline.stderr.startswith("error: ")
+
+    def test_weights_whose_sum_overflows_are_a_usage_error(self, capsys):
+        # in-process, with warnings as errors: no traceback and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nlbox.cli.main(["cabello", "--coeffs", "1e308,1e308" + ",0" * 9]) == 2
+        assert capsys.readouterr().err == "error: coefficients sum to inf, not 1\n"
 
     def test_ic_roundtrip_through_box_parser(self):
         box_json = run_cli("vertex", "nonlocal", "0", "0", "0").stdout

@@ -1,4 +1,6 @@
 """Information Causality conditions, coefficient quadratics and the RAC."""
+import dataclasses
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -9,10 +11,13 @@ import sympy as sp
 
 import reference
 from nlbox import boxes
-from nlbox.cabello import _SUCCESS, cabello_box
+from nlbox.cabello import _SUCCESS, SuccessMetrics, cabello_box, extract_q
 from nlbox.ic import (
     _BIASES,
     _IC_BOUND,
+    ICCheck,
+    ICQuantities,
+    RACOutcome,
     _cutting_planes,
     ic_ab_satisfied,
     ic_ba_satisfied,
@@ -361,3 +366,46 @@ class TestRac:
     def test_all_local_vertices_at_most_one_bit(self):
         for v in boxes.all_local_vertices():
             assert rac_simulate(v).total <= 1.0 + 1e-9
+
+
+# Each result record as the PR box yields it, built by hand, and its repr.
+RECORDS = [
+    (extract_q, SuccessMetrics(0.5, 0.5, 0.5, 0.0),
+     "SuccessMetrics(q1=0.5, q2=0.5, q3=0.5, q4=0.0)"),
+    (ic_quantities, ICQuantities(1.0, 1.0, 1.0, 1.0),
+     "ICQuantities(p_i_a=1.0, p_ii_a=1.0, p_i_b=1.0, p_ii_b=1.0)"),
+    (ic_ab_satisfied, ICCheck(2.0, False), "ICCheck(lhs=2.0, satisfied=False)"),
+    (rac_simulate, RACOutcome(1.0, 1.0, 1.0, 1.0),
+     "RACOutcome(p_bit0=1.0, p_bit1=1.0, mi_bit0=1.0, mi_bit1=1.0)"),
+]
+
+
+@pytest.mark.parametrize("make, record, text", RECORDS, ids=lambda r: getattr(r, "__name__", ""))
+class TestResultRecords:
+    """The records are frozen dataclasses with a hand-written __init__."""
+
+    def test_made_equals_built(self, make, record, text):
+        made = make(boxes.pr_box())
+        assert made == record and hash(made) == hash(record) and repr(made) == text
+        assert type(record)(**dataclasses.asdict(record)) == record
+
+    def test_assignment_is_refused(self, make, record, text):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, 0.25)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+        assert repr(record) == text
+
+    def test_value_semantics(self, make, record, text):
+        names = [field.name for field in dataclasses.fields(record)]
+        values = dataclasses.astuple(record)
+        assert list(dataclasses.asdict(record)) == names
+        other = dataclasses.replace(record, **{names[0]: 0.25})
+        assert other != record and getattr(other, names[0]) == 0.25
+        assert dataclasses.astuple(other)[1:] == values[1:]
+        assert len({record, type(record)(*values), other}) == 2
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and repr(again) == text
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(again, names[0], 0.25)

@@ -57,6 +57,12 @@ class TestIsLocallyRandom:
         with pytest.raises(ValueError):
             is_locally_random(boxes.pr_box(), "2_A")
 
+    @pytest.mark.parametrize("label", [None, ["0_A"], "2_A"])
+    def test_unknown_or_unhashable_label_is_a_value_error(self, label):
+        with pytest.raises(ValueError, match="unknown input") as exc:
+            is_locally_random(boxes.pr_box(), label)
+        assert type(exc.value) is ValueError
+
 
 class TestCaseEnumeration:
     def test_fifteen_cases(self):
