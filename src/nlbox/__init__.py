@@ -56,6 +56,6 @@ from .quantum import (
     solve_cabello_constraints,
     tsirelson_scenario,
 )
-from .search import SearchConfig, SearchDomain, SearchResult, maximize, sample_affine_simplex
+from .search import SearchConfig, SearchDomain, SearchResult, maximize
 
 __version__ = "0.1.0"

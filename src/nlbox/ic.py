@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import Box, DEFAULT_TOL, require_valid
-from .cabello import CABELLO_VERTICES, _SUCCESS, check_coefficients, success_closed_form
+from .cabello import CABELLO_VERTICES, check_coefficients, success_closed_form
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.ic.maximize
 from .search import DomainError, SearchResult, maximize
@@ -103,10 +103,9 @@ def ic_ba_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:
 
 # Rows E_I, E_II, F_I, F_II of the biases at the eleven vertices: the biases
 # of the Cabello box with weights c are _BIASES @ c, and the IC conditions
-# are |M @ c| <= 1 for the maps M in _BIAS_FORMS.  Both vanish at c11 = 1.
+# are |M @ c| <= 1 for M the first and the last two rows.
 _BIASES = np.array([[q.e_i, q.e_ii, q.f_i, q.f_ii]
                     for q in map(ic_quantities, CABELLO_VERTICES)]).T
-_BIAS_FORMS = (_BIASES[:2], _BIASES[2:])
 
 
 def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -120,20 +119,10 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
 
 
 _C6, _C11 = np.eye(11)[[5, 10]]
-_GAP_TOL = 1e-9
+# the maximizer c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2); built this way both
+# of its slacks round to +2.2e-16, not below 0
+_IC_WITNESS = _C11 + (_C6 - _C11) / math.sqrt(2.0)
 _IC_BOUND = (math.sqrt(2.0) - 1.0) / 2.0
-
-
-def _pull_into_discs(y: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """The point of the segment from c11 = 1 to y farthest from c11 = 1 that
-    meets both IC conditions, with its two slacks."""
-    t = 1.0 / max(1.0, *(np.linalg.norm(m @ y) for m in _BIAS_FORMS))
-    while True:  # rounding can leave a slack at -1e-16
-        x = _C11 + t * (y - _C11)
-        slacks = tuple(1.0 - lhs for lhs in ic_cabello_lhs(x))
-        if min(slacks) >= 0.0:
-            return x, slacks
-        t *= 1.0 - 1e-15
 
 
 def _holds_at(equalities, c: np.ndarray) -> bool:
@@ -141,81 +130,32 @@ def _holds_at(equalities, c: np.ndarray) -> bool:
         np.all(np.abs(np.asarray(equalities[0]) @ c - equalities[1]) <= 1e-12))
 
 
-def max_success_under_ic(
-    restarts: int = 64,
-    seed: int = 0,
-    equalities=None,
-    constrained: bool = True,
-) -> SearchResult:
-    """Maximize q4 - q1 over the 11-simplex, under the optional affine
-    ``equalities`` (A, b) and, if ``constrained``, both IC quadratics.
+def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> SearchResult:
+    """Maximize q4 - q1 over the 11-simplex under both IC quadratics and
+    the optional affine ``equalities`` (A, b).
 
     On the simplex q4 - q1 = -1/2 - (E_I + E_II + F_I + F_II)/4 exactly
-    (``_SUCCESS == -0.5 - 0.25 * _BIASES.sum(0)``), and IC's discs
+    (``cabello._SUCCESS == -0.5 - 0.25 * _BIASES.sum(0)``), and IC's discs
     E_I^2 + E_II^2 <= 1 and F_I^2 + F_II^2 <= 1 give E_I + E_II >= -sqrt(2)
     and F_I + F_II >= -sqrt(2), so q4 - q1 <= (sqrt(2)-1)/2 = ``_IC_BOUND``.
     The dual certificate is mu = -1/2 on the simplex row, lambda = sqrt(2)/4
     on each disc and u = -(1, 1)/sqrt(2) in each; every dual slack is 0.
-    The bound is attained at c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2), so when
-    the equalities hold at c6 = 1 and c11 = 1, as every local-randomness
-    system does, that point is returned with ``method="closed-form"``,
-    ``upper_bound=_IC_BOUND`` and no evaluations.
-
-    Unconstrained, or when the equalities exclude c6 = 1, Kelley cutting
-    planes on HiGHS LPs run instead (see ``_cutting_planes``).  DomainError
-    is raised when no nonnegative point satisfies the equalities, or when
-    under IC they exclude c11 = 1.  ``restarts`` and ``seed`` have no
-    effect; they are accepted so that existing callers keep working.
+    The bound is attained at c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2), which
+    satisfies every equality system that holds at c6 = 1 and at c11 = 1,
+    as no system and each local-randomness system do.  That point is
+    returned with ``method="closed-form"``, ``upper_bound=_IC_BOUND`` and
+    no evaluations; any other ``equalities`` raise DomainError.
+    ``restarts`` and ``seed`` have no effect; they are accepted so that
+    existing callers keep working.
     """
-    if constrained and _holds_at(equalities, _C6) and _holds_at(equalities, _C11):
-        x, slacks = _pull_into_discs(_C6)
-        return SearchResult(value=success_closed_form(x), point=x, starts_used=1,
-                            converged=True, constraint_slacks=slacks,
-                            upper_bound=_IC_BOUND, method="closed-form", evaluations=0)
-    return _cutting_planes(equalities, constrained)
-
-
-def _cutting_planes(equalities=None, constrained: bool = True) -> SearchResult:
-    """``max_success_under_ic`` by Kelley cutting planes on HiGHS LPs.
-
-    Each LP gives ``upper_bound``; its point y, pulled toward c11 = 1 until
-    both conditions hold, is a feasible point, and the best one is returned;
-    each violated condition |M c| <= 1 adds the cut (M y / |M y|) . M c <= 1.
-    ``converged`` means a gap ``upper_bound - value`` of at most 1e-9.
-    """
-    from scipy.optimize import linprog
-
-    a_eq, b_eq = np.ones((1, 11)), np.ones(1)
-    if equalities is not None:
-        a_eq, b_eq = np.vstack([a_eq, equalities[0]]), np.append(b_eq, equalities[1])
-    if constrained and not _holds_at(equalities, _C11):
-        raise DomainError("under the IC conditions the equalities must hold at c11 = 1")
-    cuts: list[np.ndarray] = []
-    best = None  # (value, point, slacks) of the best feasible point so far
-    for lps in range(1, 101):  # every local-randomness system takes 2 LPs
-        lp = linprog(-_SUCCESS, A_ub=np.array(cuts) if cuts else None,
-                     b_ub=np.ones(len(cuts)) if cuts else None,
-                     A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-        if lp.status == 2:
-            raise DomainError("no nonnegative point satisfies the equalities")
-        if lp.status != 0:
-            raise RuntimeError(f"HiGHS failed: {lp.message}")
-        y, upper = lp.x, -lp.fun
-        x, slacks = _pull_into_discs(y) if constrained else (y, ())
-        value = success_closed_form(x)
-        if best is None or value > best[0]:
-            best = (value, x, slacks)
-        if upper - best[0] <= _GAP_TOL:
-            break
-        for m in _BIAS_FORMS:
-            norm = np.linalg.norm(m @ y)
-            if norm > 1.0:
-                cuts.append(m @ y / norm @ m)
-    value, x, slacks = best
-    return SearchResult(value=value, point=x, starts_used=1,
-                        converged=upper - value <= _GAP_TOL,
-                        constraint_slacks=slacks, upper_bound=upper,
-                        method="cutting-plane", evaluations=lps)
+    if not (_holds_at(equalities, _C6) and _holds_at(equalities, _C11)):
+        raise DomainError("the IC maximum is certified only for equalities "
+                          "that hold at c6 = 1 and at c11 = 1")
+    x = _IC_WITNESS.copy()
+    slacks = tuple(1.0 - lhs for lhs in ic_cabello_lhs(x))
+    return SearchResult(value=success_closed_form(x), point=x, starts_used=1,
+                        converged=True, constraint_slacks=slacks,
+                        upper_bound=_IC_BOUND, method="closed-form", evaluations=0)
 
 
 def _entropy(*probs: float) -> float:

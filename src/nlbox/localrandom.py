@@ -110,16 +110,6 @@ class ConstraintSystem:
     a: np.ndarray
     b: np.ndarray
 
-    @property
-    def zero_variables(self) -> tuple[int, ...]:
-        """1-based indices of weights forced to zero by a 'ci = 0' relation."""
-        out = []
-        for rel in self.relations:
-            m = re.fullmatch(r"c(\d+)\s*=\s*0", rel.strip())
-            if m:
-                out.append(int(m.group(1)))
-        return tuple(out)
-
     def satisfied_by(self, c: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
         c = np.asarray(c, dtype=float)
         return bool(np.max(np.abs(self.a @ c - self.b)) <= tol)
@@ -197,11 +187,6 @@ def feasibility_witness(case_id: int, seed: int = 0) -> Optional[np.ndarray]:
         if c is not None and max(ic_cabello_lhs(c, tol=1e-9)) <= 1.0:
             return c
     return None
-
-
-def sample_case_point(case_id: int, rng: np.random.Generator) -> np.ndarray:
-    """One simplex point solving the case's affine system."""
-    return _simplex_map(_check_case(case_id)).sample(rng)
 
 
 @dataclass(frozen=True)

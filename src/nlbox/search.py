@@ -1,13 +1,11 @@
-"""Deterministic grid-then-zoom maximization over a box, and nonnegative
-sampling of affine sections of a probability simplex.
+"""Deterministic grid-then-zoom maximization over a box, and the map from
+free coordinates to points of an affine section of a probability simplex.
 
 ``maximize`` evaluates a vectorised objective on one regular grid of the
 box, then re-grids a window of two cells either side of the best point
 found, halving the cell width each round, until every cell is narrower
 than the tolerance.  It draws no random numbers and has no restarts, so a
 fixed objective, domain and config give the same result bit for bit.
-The simplex sampler draws from numpy's PCG64 stream seeded through
-SeedSequence, so its points are bit-reproducible per seed.
 """
 from __future__ import annotations
 
@@ -24,10 +22,6 @@ _ZOOM_POINTS = 9
 
 class DomainError(ValueError):
     """Inconsistent or malformed search domain."""
-
-
-class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its budget."""
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,9 @@ class SearchResult:
     constraint_slacks: tuple[float, ...]
     # certified upper bound on the maximum, from solvers that have one
     upper_bound: Optional[float] = None
-    # how the optimum was found: the method, its objective evaluations (LPs
-    # for cutting planes, candidate points for algebraic) and, for
-    # grid+zoom, the first grid's points per axis and the final cell width
+    # how the optimum was found: the method, its objective evaluations
+    # (candidate points for algebraic) and, for grid+zoom, the first grid's
+    # points per axis and the final cell width
     method: str = ""
     evaluations: int = 0
     grid: Optional[int] = None
@@ -136,27 +130,6 @@ class _SimplexMap:
         g = rng.exponential(size=self.n_free)
         x = self.full(t * g / g.sum())
         return x if x.min() >= -_FEAS_TOL else None
-
-    def sample(self, rng: np.random.Generator, budget: int = 100000) -> np.ndarray:
-        """Nonnegative solution: the first of up to ``budget`` draws."""
-        if self.n_free == 0:
-            x = self.full(np.empty(0))
-            if x.min() < -_FEAS_TOL:
-                raise DomainError("equality system has no nonnegative solution")
-            return x
-        for _ in range(budget):
-            x = self.draw(rng)
-            if x is not None:
-                return x
-        raise SamplingError(f"no feasible simplex point in {budget} draws")
-
-
-def sample_affine_simplex(
-    equalities, dim: int, seed: int, budget: int = 100000
-) -> np.ndarray:
-    """One nonnegative simplex point satisfying the given affine equalities."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _SimplexMap(dim, equalities).sample(rng, budget)
 
 
 def _unit_grid(dim: int, n: int) -> np.ndarray:

@@ -5,16 +5,20 @@ nlbox reads every linear form in the weights c1..c11 off its vertex stack
 hand from the vertex tables instead, so the tests compare two independent
 derivations of the same forms.  The rest are independent references too:
 check_magnitudes for validate_box, mutual_information for the enumerated RAC
-of tests/test_ic.py and so for rac_simulate, and joint_probability, which
+of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
-for nlbox.quantum's phase form.
+for nlbox.quantum's phase form, and cutting_planes, which solves the IC
+maximum by linear programs instead of its closed form.  The seeded simplex
+samplers and zero_variables are test helpers with no caller in nlbox.
 """
 import math
+import re
 
 import numpy as np
 
 from nlbox.ic import _entropy
-from nlbox.localrandom import _relation_row
+from nlbox.localrandom import _check_case, _relation_row, _simplex_map
+from nlbox.search import DomainError, SearchResult, _FEAS_TOL, _SimplexMap
 
 
 def rsuv(c):
@@ -136,3 +140,109 @@ def joint_probability(scen, a, b, x, y):
     op = np.kron(projector(direction(scen, "A", x), a),
                  projector(direction(scen, "B", y), b))
     return float(np.real(np.trace(rho @ op)))
+
+
+# the hand forms above as matrices over c1..c11: rows E_I, E_II, F_I, F_II
+# of the biases, and the success q4 - q1
+BIAS_ROWS = np.array([biases(e) for e in np.eye(11)]).T
+SUCCESS_ROW = np.array([success(e) for e in np.eye(11)])
+# the IC conditions are |M @ c| <= 1 for the two maps M, both 0 at c11 = 1
+_BIAS_FORMS = (BIAS_ROWS[:2], BIAS_ROWS[2:])
+_C11 = np.eye(11)[10]
+_GAP_TOL = 1e-9
+
+
+def pull_into_discs(y):
+    """The point of the segment from c11 = 1 to y farthest from c11 = 1 that
+    meets both IC conditions, with its two slacks."""
+    t = 1.0 / max(1.0, *(np.linalg.norm(m @ y) for m in _BIAS_FORMS))
+    while True:  # rounding can leave a slack at -1e-16
+        x = _C11 + t * (y - _C11)
+        slacks = tuple(1.0 - lhs for lhs in ic_lhs(x))
+        if min(slacks) >= 0.0:
+            return x, slacks
+        t *= 1.0 - 1e-15
+
+
+def cutting_planes(equalities=None, constrained=True):
+    """The maximum of q4 - q1 over the 11-simplex under the affine
+    ``equalities`` (A, b) and, if ``constrained``, both IC conditions, by
+    Kelley cutting planes on HiGHS LPs.
+
+    Each LP gives ``upper_bound``; its point y, pulled toward c11 = 1 until
+    both conditions hold, is a feasible point, and the best one is returned;
+    each violated condition |M c| <= 1 adds the cut (M y / |M y|) . M c <= 1.
+    ``evaluations`` counts the LPs and ``converged`` means a gap
+    ``upper_bound - value`` of at most 1e-9.
+    """
+    from scipy.optimize import linprog
+
+    a_eq, b_eq = np.ones((1, 11)), np.ones(1)
+    if equalities is not None:
+        a_eq, b_eq = np.vstack([a_eq, equalities[0]]), np.append(b_eq, equalities[1])
+        if constrained and np.abs(np.asarray(equalities[0]) @ _C11 - equalities[1]).max() > 1e-12:
+            raise DomainError("under the IC conditions the equalities must hold at c11 = 1")
+    cuts = []
+    best = None  # (value, point, slacks) of the best feasible point so far
+    for lps in range(1, 101):
+        lp = linprog(-SUCCESS_ROW, A_ub=np.array(cuts) if cuts else None,
+                     b_ub=np.ones(len(cuts)) if cuts else None,
+                     A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        if lp.status == 2:
+            raise DomainError("no nonnegative point satisfies the equalities")
+        if lp.status != 0:
+            raise RuntimeError(f"HiGHS failed: {lp.message}")
+        y, upper = lp.x, -lp.fun
+        x, slacks = pull_into_discs(y) if constrained else (y, ())
+        value = float(success(x))
+        if best is None or value > best[0]:
+            best = (value, x, slacks)
+        if upper - best[0] <= _GAP_TOL:
+            break
+        for m in _BIAS_FORMS:
+            norm = np.linalg.norm(m @ y)
+            if norm > 1.0:
+                cuts.append(m @ y / norm @ m)
+    value, x, slacks = best
+    return SearchResult(value=value, point=x, starts_used=1,
+                        converged=upper - value <= _GAP_TOL,
+                        constraint_slacks=slacks, upper_bound=upper,
+                        method="cutting-plane", evaluations=lps)
+
+
+class SamplingError(RuntimeError):
+    """Rejection sampling exhausted its budget."""
+
+
+def sample_simplex_map(smap, rng):
+    """A nonnegative point of the map's simplex section: the first of up to
+    100,000 draws."""
+    if smap.n_free == 0:
+        x = smap.full(np.empty(0))
+        if x.min() < -_FEAS_TOL:
+            raise DomainError("equality system has no nonnegative solution")
+        return x
+    for _ in range(100000):
+        x = smap.draw(rng)
+        if x is not None:
+            return x
+    raise SamplingError("no feasible simplex point in 100000 draws")
+
+
+def sample_affine_simplex(equalities, dim, seed):
+    """One nonnegative simplex point satisfying the given affine equalities,
+    from numpy's PCG64 stream seeded through SeedSequence."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return sample_simplex_map(_SimplexMap(dim, equalities), rng)
+
+
+def sample_case_point(case_id, rng):
+    """One simplex point solving the case's affine system."""
+    return sample_simplex_map(_simplex_map(_check_case(case_id)), rng)
+
+
+def zero_variables(system):
+    """1-based indices of the weights that a 'ci = 0' relation of the
+    system forces to zero."""
+    return tuple(int(m.group(1)) for rel in system.relations
+                 if (m := re.fullmatch(r"c(\d+)\s*=\s*0", rel.strip())))

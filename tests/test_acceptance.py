@@ -32,7 +32,6 @@ from nlbox.localrandom import (
     is_locally_random,
     lr_cases,
     lr_constraints,
-    sample_case_point,
     verify_table2,
 )
 from nlbox.quantum import (
@@ -164,7 +163,7 @@ def test_criterion_8_local_randomness_equivalence():
             system = lr_constraints(cid)
             rng = np.random.default_rng((8, cid))
             for _ in range(200):
-                c = sample_case_point(cid, rng)
+                c = reference.sample_case_point(cid, rng)
                 box = cabello_box(c)
                 for inp in case_inputs(cid):
                     assert is_locally_random(box, inp, tol=1e-9)

@@ -20,7 +20,7 @@ from nlbox.cabello import (
     ns_max_success,
     success_closed_form,
 )
-from nlbox.ic import ic_cabello_lhs, max_success_under_ic
+from nlbox.ic import ic_cabello_lhs
 
 
 def coeffs(**kv):
@@ -210,9 +210,7 @@ class TestNsMax:
         rows = np.zeros((2, 11))
         rows[0, 5] = 1.0
         rows[1, 10] = 1.0
-        result = max_success_under_ic(
-            equalities=(rows, np.zeros(2)), constrained=False
-        )
+        result = reference.cutting_planes((rows, np.zeros(2)), constrained=False)
         assert abs(result.value) <= 1e-12
         assert result.converged and result.upper_bound - result.value <= 1e-9
         assert result.method == "cutting-plane"
@@ -221,15 +219,18 @@ class TestNsMax:
         # the vertex maximum and an LP over the same simplex agree
         for argument, dim in (("hardy", 6), ("cabello", 11)):
             rows = np.eye(11)[dim:]
-            lp = max_success_under_ic(
-                equalities=(rows, np.zeros(len(rows))) if len(rows) else None,
-                constrained=False,
+            lp = reference.cutting_planes(
+                (rows, np.zeros(len(rows))) if len(rows) else None, constrained=False
             )
             value, witness = ns_max_success(argument)
             assert value == 0.5
             np.testing.assert_array_equal(witness, np.eye(dim)[5])
             assert abs(lp.value - value) <= 1e-12
             assert abs(lp.upper_bound - value) <= 1e-12
+
+    def test_unknown_argument(self):
+        with pytest.raises(ValueError):
+            ns_max_success("chsh")
 
     def test_does_not_import_scipy_optimize(self):
         code = (
@@ -239,10 +240,6 @@ class TestNsMax:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-    def test_unknown_argument(self):
-        with pytest.raises(ValueError):
-            ns_max_success("chsh")
 
 
 class TestCoefficientJson:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -314,3 +315,36 @@ class TestMax:
         payload = json.loads(proc.stdout)
         assert payload["witness"] is not None
         assert max(payload["witness_lhs"]) <= 1.0
+
+
+class TestScipyFreeRuntime:
+    def test_every_command_and_solve_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: in a fresh process where
+        # any scipy import fails, every command and every bound still runs,
+        # and none of them imports sympy
+        box = tmp_path / "box.json"
+        box.write_text(pr_box().to_json())
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            sys.modules["scipy"] = None
+            import nlbox, nlbox.cli
+            box = {str(box)!r}
+            invocations = [
+                ["validate", box], ["vertex", "nonlocal", "0", "0", "0"],
+                ["cabello", "--coeffs", "0,0,0,0,0,1"], ["ic", "--box", box],
+                ["rac", "--box", box], ["lr-case", "9"],
+                ["table1"], ["table2"], ["table3"],
+                *(["max", "--model", m] for m in ("ns", "ic", "qm", "qm-hardy")),
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [nlbox.cli.main(argv) for argv in invocations]
+            for cid in nlbox.lr_cases():
+                system = nlbox.lr_constraints(cid)
+                nlbox.max_success_under_ic(equalities=(system.a, system.b))
+            nlbox.ns_max_success("hardy"), nlbox.ns_max_success("cabello")
+            nlbox.max_cabello_qm(), nlbox.max_hardy_qm()
+            print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{[0] * 13} ['scipy']"

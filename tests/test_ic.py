@@ -18,7 +18,6 @@ from nlbox.ic import (
     ICCheck,
     ICQuantities,
     RACOutcome,
-    _cutting_planes,
     ic_ab_satisfied,
     ic_ba_satisfied,
     ic_cabello_lhs,
@@ -140,7 +139,8 @@ def assert_closed_form(result):
 
 class TestMaxUnderIC:
     def test_unconstrained_recovers_ns_bound(self):
-        result = max_success_under_ic(restarts=8, constrained=False)
+        # without the IC conditions the LP reaches the no-signaling vertex
+        result = reference.cutting_planes(constrained=False)
         assert abs(result.value - 0.5) <= 1e-6
         assert result.method == "cutting-plane"
 
@@ -166,8 +166,7 @@ class TestMaxUnderIC:
         assert_closed_form(result)
 
     def test_result_on_simplex(self):
-        for kwargs in ({}, {"constrained": False}):
-            result = max_success_under_ic(**kwargs)
+        for result in (max_success_under_ic(), reference.cutting_planes(constrained=False)):
             assert result.point.shape == (11,)
             assert result.point.min() >= 0.0
             assert abs(result.point.sum() - 1.0) <= 1e-12
@@ -198,7 +197,7 @@ class TestMaxUnderIC:
         closed = max_success_under_ic()
         for cid in [None, *lr_cases()]:
             system = None if cid is None else lr_constraints(cid)
-            result = _cutting_planes(None if cid is None else (system.a, system.b))
+            result = reference.cutting_planes(None if cid is None else (system.a, system.b))
             assert result.method == "cutting-plane" and result.evaluations == 2, cid
             assert result.converged
             assert abs(result.value - closed.value) <= 1e-12
@@ -224,18 +223,44 @@ class TestMaxUnderIC:
         a = np.zeros((2, 11))
         a[:, 0] = 1.0
         b = np.array([1.0, 0.0])
+        with pytest.raises(DomainError):
+            max_success_under_ic(equalities=(a, b))
         for constrained in (True, False):
             with pytest.raises(DomainError):
-                max_success_under_ic(equalities=(a, b), constrained=constrained)
+                reference.cutting_planes((a, b), constrained=constrained)
 
     def test_equalities_excluding_c11_raise_under_ic(self):
         # c11 = 0 leaves feasible points, but not the point c11 = 1 that the
-        # solver pulls toward
+        # LP solver pulls toward
         a = np.eye(11)[10:]
         with pytest.raises(DomainError):
             max_success_under_ic(equalities=(a, np.zeros(1)))
-        result = max_success_under_ic(equalities=(a, np.zeros(1)), constrained=False)
+        with pytest.raises(DomainError):
+            reference.cutting_planes((a, np.zeros(1)))
+        result = reference.cutting_planes((a, np.zeros(1)), constrained=False)
         assert result.converged and result.method == "cutting-plane"
+
+    def test_equalities_excluding_c6_raise(self):
+        # c6 = 0 holds at c11 = 1 and leaves IC-feasible points, but the
+        # closed form is certified only where the equalities hold at c6 = 1
+        a = np.eye(11)[5:6]
+        assert reference.cutting_planes((a, np.zeros(1))).converged
+        with pytest.raises(DomainError, match="c6 = 1"):
+            max_success_under_ic(equalities=(a, np.zeros(1)))
+
+    def test_closed_form_witness_bit_for_bit(self):
+        result = max_success_under_ic()
+        expected = np.zeros(11)
+        expected[5], expected[10] = 0.7071067811865475, 0.29289321881345254
+        assert result.point.tolist() == expected.tolist()
+        assert result.constraint_slacks == (2.220446049250313e-16, 2.220446049250313e-16)
+        assert result.value == 0.20710678118654746
+        assert result.upper_bound == _IC_BOUND == 0.20710678118654757
+
+    def test_witness_is_a_fresh_array(self):
+        first = max_success_under_ic()
+        first.point[:] = 0.0
+        assert max_success_under_ic().point[5] == 0.7071067811865475
 
 
 class TestCertificate:

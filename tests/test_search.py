@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nlbox.search import (
-    DomainError,
-    SearchConfig,
-    SearchDomain,
-    maximize,
-    sample_affine_simplex,
-)
+from nlbox.search import DomainError, SearchConfig, SearchDomain, maximize
+from reference import sample_affine_simplex
 
 
 def sin_ramp(x):
