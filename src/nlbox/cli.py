@@ -82,11 +82,9 @@ _VERTICES = {"local": (4, boxes.local_vertex), "nonlocal": (3, boxes.nonlocal_ve
 def cmd_vertex(args) -> int:
     n_bits, make = _VERTICES[args.kind]
     if any(b not in (0, 1) for b in args.bits):
-        print(f"label bits must be 0 or 1, got {args.bits}", file=sys.stderr)
-        return 2
+        raise ValueError(f"label bits must be 0 or 1, got {args.bits}")
     if len(args.bits) != n_bits:
-        print(f"{args.kind} vertices take {n_bits} bits", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.kind} vertices take {n_bits} bits")
     box = make(*args.bits)
     _emit(args, box.to_csv() if args.format == "csv" else box.to_json())
     return 0
@@ -136,18 +134,15 @@ def cmd_rac(args) -> int:
 
 def cmd_lr_case(args) -> int:
     system = lr.lr_constraints(args.case)
-    witness = lr.feasibility_witness(args.case, seed=args.seed)
-    payload = {
+    witness = lr.feasibility_witness(args.case)
+    _emit(args, json.dumps({
         "case": system.case_id,
         "inputs": list(system.inputs),
         "relations": list(system.relations),
-        "witness": None if witness is None else [round(v, 12) for v in witness],
-    }
-    if witness is not None:
-        lhs1, lhs2 = ic.ic_cabello_lhs(witness)
-        payload["witness_lhs"] = [lhs1, lhs2]
-    _emit(args, json.dumps(payload))
-    return 0 if witness is not None else CHECK_FAILURE
+        "witness": [round(v, 12) for v in witness],
+        "witness_lhs": list(ic.ic_cabello_lhs(witness)),
+    }))
+    return 0
 
 
 def cmd_table1(args) -> int:
@@ -184,9 +179,6 @@ def cmd_table2(args) -> int:
             "lhs_match": chk.lhs_match,
             "constraints_ok": chk.constraints_ok,
         })
-    witnesses = {
-        cid: lr.feasibility_witness(cid, seed=args.seed) for cid in lr.lr_cases()
-    }
     if args.format == "csv":
         lines = ["case," + ",".join(f"c{i}" for i in range(1, 12))
                  + ",lhs1,lhs2,lhs_match,constraints_ok"]
@@ -201,11 +193,10 @@ def cmd_table2(args) -> int:
         _emit(args, json.dumps({
             "rows": rows,
             "fresh_witnesses": {
-                str(cid): (None if w is None else w.tolist())
-                for cid, w in witnesses.items()
+                str(cid): lr.feasibility_witness(cid).tolist() for cid in lr.lr_cases()
             },
         }))
-    return 0 if ok and all(w is not None for w in witnesses.values()) else CHECK_FAILURE
+    return 0 if ok else CHECK_FAILURE
 
 
 def _witness(scen: quantum.QuantumScenario, with_gamma: bool = False) -> dict:
@@ -247,8 +238,7 @@ def cmd_table3(args) -> int:
 
 def cmd_max(args) -> int:
     if args.case is not None and args.model != "qm":
-        print("--case is only valid with --model qm", file=sys.stderr)
-        return 2
+        raise ValueError("--case is only valid with --model qm")
     if args.model == "ns":
         value, witness = cabello.ns_max_success()
         payload = {"model": "ns", "method": "vertex", "value": value,
@@ -280,21 +270,15 @@ def cmd_max(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for the current NLBOX_SEED, built once per value and
-    shared; parsing leaves it unchanged."""
-    return _parser(os.environ.get("NLBOX_SEED", "0"))
-
-
-@functools.lru_cache(maxsize=4)
-def _parser(seed_default: str) -> argparse.ArgumentParser:
-    # argparse converts a string default with ``type`` on every parse, so a
-    # malformed NLBOX_SEED is a usage error (exit 2) like a malformed --seed
-    seed = ("--seed", {"type": seed_value, "default": seed_default})
+    """The parser, built once and shared; parsing leaves it unchanged."""
     tol = ("--tol", {"type": tolerance, "default": 1e-9})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
-    # accepted and ignored: perfbench/workloads.py passes them to max and table3
-    ignored = [(flag, {"type": int, "help": "ignored"}) for flag in ("--restarts", "--seed")]
+    # accepted and ignored, because perfbench/workloads.py passes them:
+    # --seed to max, table2 and table3, --restarts to max and table3
+    seed = ("--seed", {"type": seed_value, "help": "ignored"})
+    restarts = ("--restarts", {"type": int, "help": "ignored"})
     box = {"help": "box JSON path or - for stdin"}
     # one declaration per command: its handler (cmd_lr_case is "lr-case"), its
     # help and the arguments it reads; a list among the arguments is a group
@@ -311,13 +295,13 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
         (cmd_rac, "run the exact 2->1 RAC protocol on a box",
          [("--box", {"required": True, **box}), tol]),
         (cmd_lr_case, "constraint system and witness for a case",
-         [("case", {"type": int}), seed]),
+         [("case", {"type": int})]),
         (cmd_table1, "reproduce table1", [fmt]),
         (cmd_table2, "reproduce table2", [fmt, seed]),
-        (cmd_table3, "reproduce table3", [fmt, *ignored]),
+        (cmd_table3, "reproduce table3", [fmt, restarts, seed]),
         (cmd_max, "maximize the success probability",
          [("--model", {"choices": ("ns", "ic", "qm", "qm-hardy"), "required": True}),
-          ("--case", {"type": int}), *ignored]),
+          ("--case", {"type": int}), restarts, seed]),
     ]
     parser = argparse.ArgumentParser(
         prog="nlbox",

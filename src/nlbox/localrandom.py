@@ -7,9 +7,9 @@ c1..c11, written below with the shorthand eta = (1 - c6 - c11)/2.  The
 15 cases enumerate the nonempty input subsets: all four, the four
 triples, the six pairs, then the four singletons.
 
-Each case's system, its reduced simplex map and the Table 2 fixture rows
-are constants of the paper: each is built on first use, once per process,
-and shared with read-only arrays.
+Each case's system and the Table 2 fixture rows are constants of the
+paper: each is built on first use, once per process, and shared with
+read-only arrays.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ import numpy as np
 from .boxes import Box, DEFAULT_TOL, marginal
 # bound only so that perfbench/tracing.py can patch nlbox.localrandom.cabello_box
 from .cabello import cabello_box
-from .ic import ic_cabello_lhs
-from .search import _SimplexMap
+from .ic import ic_cabello_lhs, max_success_under_ic
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
 _PARTY_INPUT = {inp: (inp[-1], int(inp[0])) for inp in LR_INPUTS}  # "1_B" -> ("B", 1)
@@ -152,12 +151,6 @@ def _system(case_id: int) -> ConstraintSystem:
     )
 
 
-@functools.cache
-def _simplex_map(case_id: int) -> _SimplexMap:
-    system = _system(case_id)
-    return _SimplexMap(11, (system.a, system.b))
-
-
 def lr_constraints(case_id: int) -> ConstraintSystem:
     """Affine system of the given case, shared: its arrays are read-only."""
     return _system(_check_case(case_id))
@@ -172,21 +165,15 @@ def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
     return abs(marginal(box, party, x, tol) - 0.5) <= tol
 
 
-def feasibility_witness(case_id: int, seed: int = 0) -> Optional[np.ndarray]:
+def feasibility_witness(case_id: int) -> np.ndarray:
     """Simplex point satisfying the case's system and both IC quadratics.
 
-    Draws points of the affine solution set and keeps the first that is
-    nonnegative and passes both inequalities; None only when 100,000 draws
-    all fail (not expected, every case is feasible).
+    It is the certified IC maximizer c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2) of
+    ``max_success_under_ic``, which solves every case's system exactly and
+    leaves both IC slacks at +2.2e-16; each call returns a fresh array.
     """
-    case_id = _check_case(case_id)
-    smap = _simplex_map(case_id)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, case_id))))
-    for _ in range(100000):
-        c = smap.draw(rng)
-        if c is not None and max(ic_cabello_lhs(c, tol=1e-9)) <= 1.0:
-            return c
-    return None
+    system = lr_constraints(case_id)
+    return max_success_under_ic(equalities=(system.a, system.b)).point
 
 
 @dataclass(frozen=True)

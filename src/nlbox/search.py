@@ -1,5 +1,4 @@
-"""Deterministic grid-then-zoom maximization over a box, and the map from
-free coordinates to points of an affine section of a probability simplex.
+"""Deterministic grid-then-zoom maximization over a box.
 
 ``maximize`` evaluates a vectorised objective on one regular grid of the
 box, then re-grids a window of two cells either side of the best point
@@ -14,8 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_RREF_TOL = 1e-10
-_FEAS_TOL = 1e-12
 # points per axis of each zoom window, which spans 4 cells of the grid before
 _ZOOM_POINTS = 9
 
@@ -58,78 +55,6 @@ class SearchResult:
     evaluations: int = 0
     grid: Optional[int] = None
     cell_width: Optional[float] = None
-
-
-def _rref(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Reduced row echelon form; raises DomainError on an inconsistent system."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = int(np.argmax(np.abs(a[r:, c]))) + r
-        if abs(a[piv, c]) < _RREF_TOL:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        b[[r, piv]] = b[[piv, r]]
-        b[r] /= a[r, c]
-        a[r] /= a[r, c]
-        for i in range(rows):
-            if i != r and abs(a[i, c]) > 0:
-                b[i] -= a[i, c] * b[r]
-                a[i] -= a[i, c] * a[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if abs(b[i]) > _RREF_TOL:
-            raise DomainError("inconsistent affine equality system")
-    return a[:r], b[:r], pivots
-
-
-class _SimplexMap:
-    """Maps free simplex coordinates to the full nonnegative vector."""
-
-    def __init__(self, dim: int, equalities):
-        rows = [np.ones(dim)]
-        rhs = [1.0]
-        if equalities is not None:
-            a_eq, b_eq = equalities
-            a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-            if a_eq.shape[1] != dim:
-                raise DomainError(
-                    f"equality system has {a_eq.shape[1]} columns, expected {dim}"
-                )
-            rows.extend(a_eq)
-            rhs.extend(np.atleast_1d(np.asarray(b_eq, dtype=float)))
-        self.dim = dim
-        self.a, self.b, self.pivots = _rref(np.array(rows), np.array(rhs))
-        self.free = [c for c in range(dim) if c not in self.pivots]
-        # the pivot block as the fancy index returns it: a contiguous copy
-        # takes another matmul path and changes the last bits of full()
-        self._a_free = self.a[:, self.free]
-        for arr in (self.a, self.b, self._a_free):
-            arr.flags.writeable = False
-
-    @property
-    def n_free(self) -> int:
-        return len(self.free)
-
-    def full(self, free_vals: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.dim)
-        x[self.free] = free_vals
-        x[self.pivots] = self.b - self._a_free @ free_vals
-        return x
-
-    def draw(self, rng: np.random.Generator) -> Optional[np.ndarray]:
-        """One solution from scaled exponential spacings on the free block,
-        or None when it is negative beyond the feasibility tolerance."""
-        t = rng.uniform()
-        g = rng.exponential(size=self.n_free)
-        x = self.full(t * g / g.sum())
-        return x if x.min() >= -_FEAS_TOL else None
 
 
 def _unit_grid(dim: int, n: int) -> np.ndarray:

@@ -9,16 +9,18 @@ of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
 for nlbox.quantum's phase form, and cutting_planes, which solves the IC
 maximum by linear programs instead of its closed form.  The seeded simplex
-samplers and zero_variables are test helpers with no caller in nlbox.
+samplers, the reduced-row-echelon simplex map they draw through, and
+zero_variables are test helpers with no caller in nlbox.
 """
+import functools
 import math
 import re
 
 import numpy as np
 
 from nlbox.ic import _entropy
-from nlbox.localrandom import _check_case, _relation_row, _simplex_map
-from nlbox.search import DomainError, SearchResult, _FEAS_TOL, _SimplexMap
+from nlbox.localrandom import _relation_row, lr_constraints
+from nlbox.search import DomainError, SearchResult
 
 
 def rsuv(c):
@@ -210,6 +212,82 @@ def cutting_planes(equalities=None, constrained=True):
                         method="cutting-plane", evaluations=lps)
 
 
+_RREF_TOL = 1e-10
+_FEAS_TOL = 1e-12
+
+
+def _rref(a, b):
+    """Reduced row echelon form; raises DomainError on an inconsistent system."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = int(np.argmax(np.abs(a[r:, c]))) + r
+        if abs(a[piv, c]) < _RREF_TOL:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        b[[r, piv]] = b[[piv, r]]
+        b[r] /= a[r, c]
+        a[r] /= a[r, c]
+        for i in range(rows):
+            if i != r and abs(a[i, c]) > 0:
+                b[i] -= a[i, c] * b[r]
+                a[i] -= a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+    for i in range(r, rows):
+        if abs(b[i]) > _RREF_TOL:
+            raise DomainError("inconsistent affine equality system")
+    return a[:r], b[:r], pivots
+
+
+class _SimplexMap:
+    """Maps free simplex coordinates to the full nonnegative vector."""
+
+    def __init__(self, dim, equalities):
+        rows = [np.ones(dim)]
+        rhs = [1.0]
+        if equalities is not None:
+            a_eq, b_eq = equalities
+            a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+            if a_eq.shape[1] != dim:
+                raise DomainError(
+                    f"equality system has {a_eq.shape[1]} columns, expected {dim}"
+                )
+            rows.extend(a_eq)
+            rhs.extend(np.atleast_1d(np.asarray(b_eq, dtype=float)))
+        self.dim = dim
+        self.a, self.b, self.pivots = _rref(np.array(rows), np.array(rhs))
+        self.free = [c for c in range(dim) if c not in self.pivots]
+        # the pivot block as the fancy index returns it: a contiguous copy
+        # takes another matmul path and changes the last bits of full()
+        self._a_free = self.a[:, self.free]
+        for arr in (self.a, self.b, self._a_free):
+            arr.flags.writeable = False
+
+    @property
+    def n_free(self):
+        return len(self.free)
+
+    def full(self, free_vals):
+        x = np.zeros(self.dim)
+        x[self.free] = free_vals
+        x[self.pivots] = self.b - self._a_free @ free_vals
+        return x
+
+    def draw(self, rng):
+        """One solution from scaled exponential spacings on the free block,
+        or None when it is negative beyond the feasibility tolerance."""
+        t = rng.uniform()
+        g = rng.exponential(size=self.n_free)
+        x = self.full(t * g / g.sum())
+        return x if x.min() >= -_FEAS_TOL else None
+
+
 class SamplingError(RuntimeError):
     """Rejection sampling exhausted its budget."""
 
@@ -236,9 +314,16 @@ def sample_affine_simplex(equalities, dim, seed):
     return sample_simplex_map(_SimplexMap(dim, equalities), rng)
 
 
+@functools.cache
+def _case_map(case_id):
+    """The simplex map of a case's system, built once per int case id."""
+    system = lr_constraints(case_id)
+    return _SimplexMap(11, (system.a, system.b))
+
+
 def sample_case_point(case_id, rng):
     """One simplex point solving the case's affine system."""
-    return sample_simplex_map(_simplex_map(_check_case(case_id)), rng)
+    return sample_simplex_map(_case_map(lr_constraints(case_id).case_id), rng)
 
 
 def zero_variables(system):

@@ -13,7 +13,6 @@ import pytest
 import nlbox.cli
 from nlbox.boxes import Box, pr_box
 from nlbox.cabello import hardy_box
-from nlbox.localrandom import feasibility_witness
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -40,10 +39,13 @@ class TestVertex:
 
     def test_bad_label_is_usage_error(self):
         proc = run_cli("vertex", "nonlocal", "2", "0", "0")
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: label bits must be 0 or 1, got [2, 0, 0]\n"
 
     def test_wrong_arity_is_usage_error(self):
-        assert run_cli("vertex", "local", "0", "0", "0").returncode == 2
+        proc = run_cli("vertex", "local", "0", "0", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: local vertices take 4 bits\n"
 
 
 class TestValidate:
@@ -66,16 +68,10 @@ class TestValidate:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
-    def test_invalid_seed_environment_is_usage_error(self):
-        proc = run_cli("table2", env={**os.environ, "NLBOX_SEED": "abc"})
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "invalid int value: 'abc'" in proc.stderr
-
     @pytest.mark.parametrize("args, env", [
-        ("lr-case 3 --seed -1", {}),
+        ("max --model ns --seed -1", {}),
         ("table2 --seed -1", {}),
-        ("table2", {"NLBOX_SEED": "-1"}),
+        ("table3 --seed -1", {}),
     ])
     def test_negative_seed_is_usage_error(self, args, env):
         proc = run_cli(*args.split(), env={**os.environ, **env})
@@ -85,28 +81,18 @@ class TestValidate:
         assert errors == [f"nlbox {args.split()[0]}: error: argument --seed: "
                           "expected an integer >= 0, got '-1'"]
 
-    def test_seed_environment_is_read_on_every_call(self, monkeypatch, capsys):
-        witnesses = []
-        for seed in ("1", "2"):
-            monkeypatch.setenv("NLBOX_SEED", seed)
-            assert nlbox.cli.main(["lr-case", "7"]) == 0
-            witnesses.append(json.loads(capsys.readouterr().out)["witness"])
-            assert witnesses[-1] == [round(v, 12) for v in feasibility_witness(7, int(seed))]
-        assert witnesses[0] != witnesses[1]
-        assert nlbox.cli.build_parser() is nlbox.cli.build_parser()
-        monkeypatch.setenv("NLBOX_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            nlbox.cli.main(["lr-case", "7"])
-        assert exc.value.code == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("args", [
         "vertex local 0 0 0 0", "table1", "validate -", "max --model ns",
+        "table2", "lr-case 7",
     ])
     def test_seed_environment_is_ignored_by_commands_without_seed(self, args):
+        unset = {k: v for k, v in os.environ.items() if k != "NLBOX_SEED"}
         proc = run_cli(*args.split(), stdin=pr_box().to_json(),
-                       env={**os.environ, "NLBOX_SEED": "abc"})
+                       env={**unset, "NLBOX_SEED": "abc"})
         assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run_cli(*args.split(), stdin=pr_box().to_json(),
+                                      env=unset).stdout
+        assert nlbox.cli.build_parser() is nlbox.cli.build_parser()
 
     def test_coefficient_file_without_c_is_usage_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -152,6 +138,7 @@ class TestUnreadFlags:
         "max --model ns --format csv",
         "table1 --tol 1e-6",
         "lr-case 3 --restarts 4",
+        "lr-case 3 --seed 3",
     ])
     def test_is_usage_error(self, args):
         proc = run_cli(*args.split(), stdin=pr_box().to_json())
@@ -294,7 +281,9 @@ class TestMax:
         assert min(payload["constraint_slacks"]) >= 0.0
 
     def test_case_without_qm_is_usage_error(self):
-        assert run_cli("max", "--model", "ns", "--case", "3").returncode == 2
+        proc = run_cli("max", "--model", "ns", "--case", "3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --case is only valid with --model qm\n"
 
     def test_qm_bound(self):
         proc = run_cli("max", "--model", "qm")
@@ -320,13 +309,21 @@ class TestMax:
 class TestScipyFreeRuntime:
     def test_every_command_and_solve_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: in a fresh process where
-        # any scipy import fails, every command and every bound still runs,
-        # and none of them imports sympy
+        # any scipy import fails, every command, every bound and every
+        # local-randomness witness still runs, none of them imports sympy,
+        # and none draws a random number (numpy's generators raise)
         box = tmp_path / "box.json"
         box.write_text(pr_box().to_json())
         code = textwrap.dedent(f"""
             import contextlib, io, sys
+            import numpy.random
             sys.modules["scipy"] = None
+
+            def no_draws(*args, **kwargs):
+                raise AssertionError("the runtime draws no random numbers")
+
+            for name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+                setattr(numpy.random, name, no_draws)
             import nlbox, nlbox.cli
             box = {str(box)!r}
             invocations = [
@@ -341,6 +338,7 @@ class TestScipyFreeRuntime:
             for cid in nlbox.lr_cases():
                 system = nlbox.lr_constraints(cid)
                 nlbox.max_success_under_ic(equalities=(system.a, system.b))
+                nlbox.feasibility_witness(cid)
             nlbox.ns_max_success("hardy"), nlbox.ns_max_success("cabello")
             nlbox.max_cabello_qm(), nlbox.max_hardy_qm()
             print(codes, sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")))

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import reference
-from nlbox import boxes, cli, localrandom, search
+from nlbox import boxes, cli, localrandom
 from nlbox.boxes import marginal
 from nlbox.cabello import CABELLO_VERTICES, cabello_box
-from nlbox.ic import ic_cabello_lhs
-from nlbox.search import _FEAS_TOL, _SimplexMap
+from nlbox.ic import ic_cabello_lhs, max_success_under_ic
 from nlbox.localrandom import (
     LR_INPUTS,
     case_inputs,
@@ -101,8 +100,8 @@ class TestCaseEnumeration:
             assert type(system.case_id) is int and system.case_id == cid
             assert system is lr_constraints(cid)
             assert case_inputs(make(cid)) == case_inputs(cid)
-        np.testing.assert_array_equal(feasibility_witness(make(5), seed=2),
-                                      feasibility_witness(5, seed=2))
+        np.testing.assert_array_equal(feasibility_witness(make(5)),
+                                      feasibility_witness(5))
 
 
 class TestConstraintMarginalEquivalence:
@@ -201,31 +200,33 @@ class TestFeasibilityWitness:
 
     def test_all_cases_feasible(self):
         for cid in lr_cases():
-            c = feasibility_witness(cid, seed=0)
+            c = feasibility_witness(cid)
             assert c is not None
             assert lr_constraints(cid).satisfied_by(c, tol=1e-9)
             lhs1, lhs2 = ic_cabello_lhs(c)
             assert lhs1 <= 1.0 and lhs2 <= 1.0
 
-    def test_witness_is_first_feasible_draw_of_the_seeded_stream(self):
-        # each draw takes one uniform scale and one exponential spacing per
-        # free coordinate; the witness is the first nonnegative IC-feasible one
+    def test_witness_is_the_certified_ic_point(self):
+        # c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2) solves every case's system
+        # exactly, meets both IC conditions and makes the case's inputs
+        # locally random; each call hands out a new writable array
+        ic_point = max_success_under_ic().point
         for cid in lr_cases():
-            for seed in range(3):
-                system = lr_constraints(cid)
-                smap = _SimplexMap(11, (system.a, system.b))
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, cid))))
-                while True:
-                    t = rng.uniform()
-                    g = rng.exponential(size=smap.n_free)
-                    c = smap.full(t * g / g.sum())
-                    if c.min() >= -_FEAS_TOL and max(ic_cabello_lhs(c, tol=1e-9)) <= 1.0:
-                        break
-                np.testing.assert_array_equal(feasibility_witness(cid, seed=seed), c)
+            system = lr_constraints(cid)
+            w = feasibility_witness(cid)
+            assert w.tobytes() == ic_point.tobytes(), cid
+            assert np.all(system.a @ w - system.b == 0.0), cid
+            assert min(1.0 - lhs for lhs in ic_cabello_lhs(w)) >= 0.0, cid
+            box = cabello_box(w)
+            assert all(is_locally_random(box, inp) for inp in system.inputs), cid
+            again = feasibility_witness(cid)
+            assert again is not w and again.flags.writeable
+            again[0] = 0.5
+            assert feasibility_witness(cid).tobytes() == ic_point.tobytes()
 
     def test_deterministic_per_seed(self):
-        c1 = feasibility_witness(8, seed=3)
-        c2 = feasibility_witness(8, seed=3)
+        c1 = feasibility_witness(8)
+        c2 = feasibility_witness(8)
         np.testing.assert_array_equal(c1, c2)
 
 
@@ -262,17 +263,14 @@ def assert_read_only(*arrays):
 
 
 class TestSharedConstants:
-    """The 15 systems, their simplex maps and the fixture rows are built once
-    per process and handed out with read-only arrays."""
+    """The 15 systems and the fixture rows are built once per process and
+    handed out with read-only arrays."""
 
     def test_repeat_calls_return_the_same_read_only_objects(self):
         for cid in lr_cases():
             system = lr_constraints(cid)
             assert lr_constraints(cid) is system
             assert_read_only(system.a, system.b)
-            smap = localrandom._simplex_map(cid)
-            assert localrandom._simplex_map(cid) is smap
-            assert_read_only(smap.a, smap.b, smap._a_free)
         rows, again = load_table2_fixture(), load_table2_fixture()
         assert rows is not again and len(rows) == len(again) == 45
         assert all(r is s for r, s in zip(rows, again))
@@ -293,7 +291,7 @@ class TestSharedConstants:
     def test_warm_commands_parse_and_reduce_nothing(self, monkeypatch):
         commands = [["table1"], ["table1", "--format", "csv"], ["table2", "--seed", "4"],
                     ["table2", "--format", "csv"]]
-        commands += [["lr-case", str(cid), "--seed", "3"] for cid in lr_cases()]
+        commands += [["lr-case", str(cid)] for cid in lr_cases()]
 
         def run_all():
             out = []
@@ -309,6 +307,5 @@ class TestSharedConstants:
             raise AssertionError("derived again")
 
         monkeypatch.setattr(localrandom, "_relation_row", fail)
-        monkeypatch.setattr(search, "_rref", fail)
         assert run_all() == warm
         assert all(rc == 0 for rc, _ in warm)
