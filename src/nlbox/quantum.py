@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box, from_correlator_rows
+from .boxes import Box, MalformedBoxError
 from .localrandom import case_inputs
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.quantum.maximize
@@ -58,43 +58,43 @@ class QuantumScenario:
     b1: MeasurementDirection
 
 
-def quantum_tables(beta, gamma, theta, phi) -> np.ndarray:
-    """Tables P(ab|XY) of many scenarios at once, in the phase form
+def quantum_box(scen: QuantumScenario) -> Box:
+    """Table P(ab|XY) of the scenario, in the phase form
 
         C_A = cos(2 beta) cos(theta_X),  C_B = cos(2 beta) cos(theta_Y),
         C_AB = sin(2 beta) sin(theta_X) sin(theta_Y) cos(gamma - phi_X - phi_Y)
                + cos(theta_X) cos(theta_Y),
 
-    with outcome 0 counted as +1, built by ``boxes.from_correlator_rows``
-    from the rows (1, C_A, C_B, C_AB).  It is the Bloch form
+    with outcome 0 counted as +1, so that row XY holds the cells 1/4 +- C_A/4
+    +- C_B/4 +- C_AB/4 with the signs of ``boxes._FROM_CORRELATORS``, on
+    plain floats from ``math.cos`` and ``math.sin``.  It is the Bloch form
     P(ab|XY) = (1 + a m.r + b n.r + a b m.T n) / 4 of cos(beta)|00> +
     e^{i gamma} sin(beta)|11>, whose Bloch vectors are r = cos(2 beta) z and
     whose correlation matrix T turns the equatorial parts of m and n into
-    the phase cosine.  ``beta`` and ``gamma`` have shape S, ``theta`` and
-    ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the result has shape
-    S + (4, 4), rows and columns ordered as in Box.
+    the phase cosine.  An angle that is not a finite real number raises
+    MalformedBoxError.
     """
-    two_beta = 2.0 * np.asarray(beta, dtype=float)[..., None]
-    gamma = np.asarray(gamma, dtype=float)[..., None, None]
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    local = np.cos(two_beta) * cos_t  # C_A, C_A', C_B, C_B'
-    corr = ((np.sin(two_beta) * sin_t)[..., :2, None] * sin_t[..., None, 2:]
-            * np.cos(gamma - phi[..., :2, None] - phi[..., None, 2:])
-            + cos_t[..., :2, None] * cos_t[..., None, 2:])
-    rows = np.empty(corr.shape + (4,))  # [..., X, Y, (1, C_A, C_B, C_AB)]
-    rows[..., 0] = 1.0
-    rows[..., 1] = local[..., :2, None]
-    rows[..., 2] = local[..., None, 2:]
-    rows[..., 3] = corr
-    return from_correlator_rows(rows.reshape(corr.shape[:-2] + (4, 4)))
-
-
-def quantum_box(scen: QuantumScenario) -> Box:
-    dirs = (scen.a0, scen.a1, scen.b0, scen.b1)
-    return Box(quantum_tables(scen.state.beta, scen.state.gamma,
-                              [d.theta for d in dirs], [d.phi for d in dirs]))
+    state = scen.state
+    # products and sums associate as in the batched numpy form, bit for bit
+    try:
+        two_beta = 2.0 * state.beta
+        cos_2b, sin_2b = math.cos(two_beta), math.sin(two_beta)
+        bob = [(math.cos(d.theta), math.sin(d.theta), d.phi) for d in (scen.b0, scen.b1)]
+        c_b = [0.25 * (cos_2b * cos_y) for cos_y, _, _ in bob]
+        rows = []
+        for d in (scen.a0, scen.a1):
+            cos_x, sin_x = math.cos(d.theta), math.sin(d.theta)
+            a = 0.25 * (cos_2b * cos_x)
+            s = sin_2b * sin_x
+            g = state.gamma - d.phi
+            for (cos_y, sin_y, phi_y), b in zip(bob, c_b):
+                c = 0.25 * (s * sin_y * math.cos(g - phi_y) + cos_x * cos_y)
+                rows.append([0.25 + a + b + c, 0.25 + a - b - c,
+                             0.25 - a + b - c, 0.25 - a - b + c])
+        return Box(rows)
+    except (TypeError, ValueError):  # MalformedBoxError for NaN cells included
+        raise MalformedBoxError(
+            f"quantum angles must be finite real numbers: {scen!r}") from None
 
 
 def marginal_bias(state: PureState, direction: MeasurementDirection) -> float:

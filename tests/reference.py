@@ -7,7 +7,8 @@ derivations of the same forms.  The rest are independent references too:
 check_magnitudes for validate_box, mutual_information for the enumerated RAC
 of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
-for nlbox.quantum's phase form, and cutting_planes, which solves the IC
+and quantum_tables, the phase form batched in numpy, for nlbox.quantum's
+scalar quantum_box, and cutting_planes, which solves the IC
 maximum by linear programs instead of its closed form.  The seeded simplex
 samplers, the reduced-row-echelon simplex map they draw through, and
 zero_variables are test helpers with no caller in nlbox.
@@ -18,6 +19,7 @@ import re
 
 import numpy as np
 
+from nlbox.boxes import from_correlator_rows
 from nlbox.ic import _entropy
 from nlbox.localrandom import _relation_row, lr_constraints
 from nlbox.search import DomainError, SearchResult
@@ -142,6 +144,30 @@ def joint_probability(scen, a, b, x, y):
     op = np.kron(projector(direction(scen, "A", x), a),
                  projector(direction(scen, "B", y), b))
     return float(np.real(np.trace(rho @ op)))
+
+
+def quantum_tables(beta, gamma, theta, phi):
+    """Tables P(ab|XY) of many scenarios at once, in the phase form of
+    nlbox.quantum.quantum_box, turned into tables by one
+    ``from_correlator_rows`` matmul.  ``beta`` and ``gamma`` have shape S,
+    ``theta`` and ``phi`` shape S + (4,) in the order a0, a1, b0, b1; the
+    result has shape S + (4, 4), rows and columns ordered as in Box.
+    """
+    two_beta = 2.0 * np.asarray(beta, dtype=float)[..., None]
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    local = np.cos(two_beta) * cos_t  # C_A, C_A', C_B, C_B'
+    corr = ((np.sin(two_beta) * sin_t)[..., :2, None] * sin_t[..., None, 2:]
+            * np.cos(gamma - phi[..., :2, None] - phi[..., None, 2:])
+            + cos_t[..., :2, None] * cos_t[..., None, 2:])
+    rows = np.empty(corr.shape + (4,))  # [..., X, Y, (1, C_A, C_B, C_AB)]
+    rows[..., 0] = 1.0
+    rows[..., 1] = local[..., :2, None]
+    rows[..., 2] = local[..., None, 2:]
+    rows[..., 3] = corr
+    return from_correlator_rows(rows.reshape(corr.shape[:-2] + (4, 4)))
 
 
 # the hand forms above as matrices over c1..c11: rows E_I, E_II, F_I, F_II

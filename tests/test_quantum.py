@@ -1,14 +1,17 @@
 """Two-qubit pure-state model, constraint solving and quantum maxima."""
+import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
 import reference
-from nlbox.boxes import chsh_value, marginal, validate_box
+import nlbox.quantum
+from nlbox.boxes import MalformedBoxError, chsh_value, marginal, validate_box
 from nlbox.ic import ic_ab_satisfied, ic_ba_satisfied
 from nlbox.localrandom import LR_INPUTS, is_locally_random
 from nlbox.quantum import (
@@ -26,7 +29,6 @@ from nlbox.quantum import (
     max_hardy_qm,
     q4_minus_q1_closed_form,
     quantum_box,
-    quantum_tables,
     solve_cabello_constraints,
     tsirelson_scenario,
 )
@@ -85,9 +87,10 @@ class TestQuantumBox:
         rng = np.random.default_rng(11)
         scens = [random_scenario(rng) for _ in range(50)]
         dirs = [(s.a0, s.a1, s.b0, s.b1) for s in scens]
-        tables = quantum_tables([s.state.beta for s in scens], [s.state.gamma for s in scens],
-                                [[d.theta for d in ds] for ds in dirs],
-                                [[d.phi for d in ds] for ds in dirs])
+        tables = reference.quantum_tables([s.state.beta for s in scens],
+                                          [s.state.gamma for s in scens],
+                                          [[d.theta for d in ds] for ds in dirs],
+                                          [[d.phi for d in ds] for ds in dirs])
         assert tables.shape == (50, 4, 4)
         for scen, table in zip(scens, tables):
             assert scen.state.gamma != 0.0
@@ -103,7 +106,7 @@ class TestQuantumBox:
         rng = np.random.default_rng(18)
         scens = [[random_scenario(rng) for _ in range(5)] for _ in range(3)]
         dirs = lambda s: (s.a0, s.a1, s.b0, s.b1)
-        tables = quantum_tables(
+        tables = reference.quantum_tables(
             [[s.state.beta for s in row] for row in scens],
             [[s.state.gamma for s in row] for row in scens],
             [[[d.theta for d in dirs(s)] for s in row] for row in scens],
@@ -115,6 +118,47 @@ class TestQuantumBox:
                 kron = [[reference.joint_probability(scen, a, b, x, y)
                          for a in (0, 1) for b in (0, 1)] for x in (0, 1) for y in (0, 1)]
                 assert np.abs(table - kron).max() <= 1e-14
+
+    def test_edge_scenarios_match_reference_bit_for_bit(self):
+        # polar angles at the poles and the equator, product and maximally
+        # entangled states, a phase gamma != 0, and phases below 0 or above 2 pi
+        for beta in (0.0, math.pi / 4, HALF_PI):
+            for theta in (0.0, HALF_PI, math.pi):
+                for gamma, phi in ((0.7, -1.9), (2.3, 2 * math.pi + 0.4), (-0.5, 9.1)):
+                    thetas = [theta, math.pi - theta, 0.3, theta]
+                    phis = [phi, 0.2, -phi, phi + 1.0]
+                    scen = QuantumScenario(
+                        PureState(beta, gamma),
+                        *(MeasurementDirection(t, f) for t, f in zip(thetas, phis)))
+                    table = reference.quantum_tables(beta, gamma, thetas, phis)
+                    np.testing.assert_array_equal(quantum_box(scen).p, table)
+
+    def test_scalar_path_makes_no_numpy_call(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        scens = [tsirelson_scenario()] + [random_scenario(rng) for _ in range(50)]
+        expected = [quantum_box(scen).p for scen in scens]
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"quantum_box read np.{name}")
+
+        monkeypatch.setattr(nlbox.quantum, "np", NoNumpy())
+        for scen, table in zip(scens, expected):
+            np.testing.assert_array_equal(quantum_box(scen).p, table)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "0.3"])
+    @pytest.mark.parametrize("field", ["beta", "gamma", "theta", "phi"])
+    def test_bad_angle_is_malformed_without_warning(self, field, value):
+        scen = tsirelson_scenario()
+        if field in ("beta", "gamma"):
+            scen = dataclasses.replace(scen, state=dataclasses.replace(scen.state, **{field: value}))
+        else:
+            scen = dataclasses.replace(scen, b1=dataclasses.replace(scen.b1, **{field: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedBoxError,
+                               match="^quantum angles must be finite real numbers: "):
+                quantum_box(scen)
 
     def test_valid_no_signaling(self):
         rng = np.random.default_rng(13)
@@ -240,8 +284,9 @@ class TestClosedForm:
             beta, tx0, ty0, delta = z
             tx1, ty1 = solve_cabello_constraints(PureState(beta), tx0, ty0)
             half_pi = np.full_like(delta, HALF_PI)
-            p = quantum_tables(beta, 0.0, np.stack([tx0, tx1, ty0, ty1], -1),
-                               np.stack([half_pi + delta, half_pi, half_pi, half_pi - delta], -1))
+            p = reference.quantum_tables(
+                beta, 0.0, np.stack([tx0, tx1, ty0, ty1], -1),
+                np.stack([half_pi + delta, half_pi, half_pi, half_pi - delta], -1))
             return p[:, 3, 3] - p[:, 0, 0]  # q4 - q1
 
         free = maximize(
