@@ -27,8 +27,8 @@ _PAIRS = tuple(f"{x}{y}" for x, y in ROW_OF)  # labels of the rows XY and column
 # total, C_A, C_B and C_AB of each row instead, and its inverse takes rows
 # (1, C_A, C_B, C_AB) back to the table.  2 _ROW_MAP - 1 is a symmetric
 # Hadamard matrix (its square is 4 I), so that inverse is it divided by 4.
-# Both maps are symmetric, so row_stats and from_correlator_rows multiply by
-# them directly instead of by a transposed, non-contiguous view.
+# Both maps are symmetric, so from_correlator_rows multiplies by its map
+# directly, and _row_stats sums on floats the cells each row of _ROW_MAP picks.
 _ROW_MAP = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=float)
 _FROM_CORRELATORS = (2.0 * _ROW_MAP - 1.0) / 4.0
 
@@ -62,41 +62,40 @@ class InfeasibleCorrelatorError(BoxError):
     """Correlators that reconstruct to a negative probability."""
 
 
-def _as_table(p) -> np.ndarray:
-    try:
-        arr = np.array(p, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedBoxError(f"probability table must be numbers: {exc}") from None
-    if arr.shape != (4, 4):
-        raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, init=False)
 class Box:
     """Immutable 4x4 joint-distribution table P(ab|XY).
 
-    Construction reads the table once, with one ``row_stats`` matmul, and
-    keeps as plain floats the 16 cells, the 16 row stats, the 8 marginal
-    pairs of the no-signaling checks and ``worst_check``, the largest check
-    magnitude.  The readers below do scalar arithmetic on these only.  The
-    24 magnitudes themselves, in ``validate_box``'s report order, are built
-    on demand from those floats, when ``check_magnitudes`` is read or when
-    ``validate_box`` has a violation to report.  The table is a read-only
-    copy, so none of this goes stale, and none of it depends on a tolerance.
+    Construction reads the table once and keeps as plain floats the 16
+    cells, the 16 row stats of ``_row_stats``, the 8 marginal pairs of the
+    no-signaling checks and ``worst_check``, the largest check magnitude.
+    The readers below do scalar arithmetic on these only.  ``stats`` and the
+    24 magnitudes, in ``validate_box``'s report order, are built from those
+    floats when read or when ``validate_box`` has a violation to report.
+    The table is a read-only copy, so none of this goes stale, and none of
+    it depends on a tolerance.
     """
 
     p: np.ndarray
 
     def __init__(self, p):
-        arr = _as_table(p)
-        cells = arr.ravel().tolist()
-        if not all(map(math.isfinite, cells)):
-            raise MalformedBoxError("probability table contains non-finite entries")
+        try:
+            arr = np.array(p, dtype=float)  # a copy: the caller's p is never frozen
+        except (TypeError, ValueError) as exc:
+            raise MalformedBoxError(f"probability table must be numbers: {exc}") from None
+        if arr.shape != (4, 4):
+            raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
+        self._read(arr)
+
+    def _read(self, arr: np.ndarray) -> "Box":
+        """Construction on a 4x4 float table that no caller holds; returns self."""
         arr.setflags(write=False)
-        stats = row_stats(arr)
-        stats.setflags(write=False)
-        s = stats.ravel().tolist()
+        cells = arr.ravel().tolist()
+        s = _row_stats(cells)
+        # a non-finite cell makes the row totals' sum non-finite; finite cells
+        # do so only by overflow, and their box is invalid, not malformed
+        if not math.isfinite(s[0] + s[4] + s[8] + s[12]) and not all(map(math.isfinite, cells)):
+            raise MalformedBoxError("probability table contains non-finite entries")
         m = _MARGINAL_PAIRS(s)
         # The max of the 24 magnitudes: the worst positivity and the 4 gaps
         # each of normalization and no-signaling.  max skips NaN magnitudes
@@ -106,8 +105,15 @@ class Box:
         worst = max(-min(cells), abs(s[0] - 1.0), abs(s[4] - 1.0), abs(s[8] - 1.0),
                     abs(s[12] - 1.0), abs(m[0] - m[1]), abs(m[2] - m[3]),
                     abs(m[4] - m[5]), abs(m[6] - m[7]))
-        self.__dict__.update(p=arr, stats=stats, _cells=cells, _stats=s, _pairs=m,
-                             worst_check=worst)
+        self.__dict__.update(p=arr, _cells=cells, _stats=s, _pairs=m, worst_check=worst)
+        return self
+
+    @property
+    def stats(self) -> np.ndarray:
+        """Read-only rows (total, P(a=0|XY), P(b=0|XY), P(a=b|XY)) per XY."""
+        stats = np.array(self._stats).reshape(4, 4)
+        stats.setflags(write=False)
+        return stats
 
     def _magnitudes(self) -> list[float]:
         """The 24 check magnitudes, in the order of _CHECKS."""
@@ -179,10 +185,21 @@ class Violation:
     magnitude: float
 
 
-def row_stats(p) -> np.ndarray:
-    """Per input row XY of tables p (..., 4, 4): the row total, P(a=0|XY),
-    P(b=0|XY) and P(a=b|XY), in a last axis of length 4."""
-    return np.asarray(p, dtype=float) @ _ROW_MAP  # symmetric: equal to _ROW_MAP.T
+def _mixture_box(weights: np.ndarray, tables: np.ndarray) -> Box:
+    """The Box of float weights (n,) times raveled tables (n, 16), the
+    product written straight into its table instead of copied there."""
+    p = np.empty((4, 4))
+    np.dot(weights, tables, out=p.reshape(16))
+    return object.__new__(Box)._read(p)
+
+
+def _row_stats(c: list[float]) -> list[float]:
+    """The raveled cells times _ROW_MAP; each sum starts at +0.0, as a matmul's does."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 = c
+    return [0.0 + c0 + c1 + c2 + c3, 0.0 + c0 + c1, 0.0 + c0 + c2, 0.0 + c0 + c3,
+            0.0 + c4 + c5 + c6 + c7, 0.0 + c4 + c5, 0.0 + c4 + c6, 0.0 + c4 + c7,
+            0.0 + c8 + c9 + c10 + c11, 0.0 + c8 + c9, 0.0 + c8 + c10, 0.0 + c8 + c11,
+            0.0 + c12 + c13 + c14 + c15, 0.0 + c12 + c13, 0.0 + c12 + c14, 0.0 + c12 + c15]
 
 
 def from_correlator_rows(rows) -> np.ndarray:
@@ -295,19 +312,6 @@ def uniform_box() -> Box:
     return Box(np.full((4, 4), 0.25))
 
 
-def all_local_vertices() -> list[Box]:
-    return [
-        local_vertex(a, b, g, d)
-        for a in (0, 1) for b in (0, 1) for g in (0, 1) for d in (0, 1)
-    ]
-
-
-def all_nonlocal_vertices() -> list[Box]:
-    return [
-        nonlocal_vertex(a, b, g) for a in (0, 1) for b in (0, 1) for g in (0, 1)
-    ]
-
-
 def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL) -> Box:
     """Entrywise convex combination of boxes."""
     _check_tol(tol)
@@ -319,7 +323,7 @@ def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL
     if abs(w.sum() - 1.0) > tol:
         raise ValueError(f"weights sum to {w.sum()}, not 1")
     tables = np.array([box.p for box in boxes]).reshape(len(w), 16)
-    return Box((w @ tables).reshape(4, 4))
+    return _mixture_box(w, tables)
 
 
 def chsh_value(box: Box, x: int, y: int, tol: float = DEFAULT_TOL) -> float:

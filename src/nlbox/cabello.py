@@ -62,17 +62,17 @@ def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> 
     if arr.shape != (n,):
         raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
     values = arr.tolist()
+    try:
+        total = math.fsum(values)  # correctly rounded, so the message reports the exact sum
+    except (OverflowError, ValueError):  # inf - inf is reported as non-finite below,
+        total = math.inf  # and weights >= -tol that overflow sum to +inf
+    if min(values) >= -tol and abs(total - 1.0) <= tol:
+        return arr  # valid weights; any other vector gets the checks below, in order
     if not all(map(math.isfinite, values)):
         raise CoefficientError("non-finite coefficient")
     if min(values) < -tol:
         raise CoefficientError(f"negative coefficient {min(values)}")
-    try:
-        total = math.fsum(values)  # correctly rounded, so the message reports the exact sum
-    except OverflowError:  # every weight is >= -tol here, so the sum is +inf
-        total = math.inf
-    if abs(total - 1.0) > tol:
-        raise CoefficientError(f"coefficients sum to {total}, not 1")
-    return arr
+    raise CoefficientError(f"coefficients sum to {total}, not 1")
 
 
 def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
@@ -110,13 +110,13 @@ class SuccessMetrics:
 def hardy_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the six Hardy vertices with weights c1..c6."""
     arr = check_coefficients(c, 6, tol)
-    return Box((arr @ _VERTEX_STACK[:6]).reshape(4, 4))
+    return boxes._mixture_box(arr, _VERTEX_STACK[:6])
 
 
 def cabello_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the eleven Cabello vertices with weights c1..c11."""
     arr = check_coefficients(c, 11, tol)
-    return Box((arr @ _VERTEX_STACK).reshape(4, 4))
+    return boxes._mixture_box(arr, _VERTEX_STACK)
 
 
 # perfbench/workloads.py still calls the Cabello table by this name

@@ -47,13 +47,10 @@ def _emit(args, text: str) -> None:
 
 
 def _load_box(args) -> Box:
-    # a table whose row sums overflow is reported as invalid, without
-    # numpy's warning from the matmul of boxes.row_stats
-    with np.errstate(over="ignore"):
-        if args.box == "-":
-            return Box.from_json(sys.stdin.read())
-        with open(args.box) as fh:
-            return Box.from_json(fh.read())
+    if args.box == "-":
+        return Box.from_json(sys.stdin.read())
+    with open(args.box) as fh:
+        return Box.from_json(fh.read())
 
 
 def _load_coeffs(spec: str) -> np.ndarray:

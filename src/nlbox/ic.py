@@ -80,11 +80,16 @@ class RACOutcome:
 def ic_quantities(box: Box, tol: float = DEFAULT_TOL) -> ICQuantities:
     """Success probabilities of the 2->1 RAC over the box (see rac_simulate),
     with Alice (``_a``) or Bob (``_b``) as the sender, from the agreements
-    P(a=b|XY)."""
+    P(a=b|XY).  Each call applies its own ``tol``, and the record is built
+    once per box, kept in its ``__dict__`` as ``functools.cached_property`` does."""
     require_valid(box, tol)
-    g00, g01, g10, g11 = box._stats[3::4]  # P(a=b|XY)
-    return ICQuantities(0.5 * (g00 + g10), 0.5 * (g01 + (1.0 - g11)),  # p_i_a, p_ii_a
-                        0.5 * (g00 + g01), 0.5 * (g10 + (1.0 - g11)))  # p_i_b, p_ii_b
+    q = box.__dict__.get("_ic_quantities")
+    if q is None:
+        g00, g01, g10, g11 = box._stats[3::4]  # P(a=b|XY)
+        q = box.__dict__["_ic_quantities"] = ICQuantities(
+            0.5 * (g00 + g10), 0.5 * (g01 + (1.0 - g11)),  # p_i_a, p_ii_a
+            0.5 * (g00 + g01), 0.5 * (g10 + (1.0 - g11)))  # p_i_b, p_ii_b
+    return q
 
 
 def ic_ab_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:

@@ -4,14 +4,17 @@ nlbox reads every linear form in the weights c1..c11 off its vertex stack
 (a Cabello table is c @ _VERTEX_STACK).  The forms here were written out by
 hand from the vertex tables instead, so the tests compare two independent
 derivations of the same forms.  The rest are independent references too:
-check_magnitudes for validate_box, mutual_information for the enumerated RAC
+row_stats, the batched matmul by the table's linear map, for the float row
+stats that Box sums at construction, check_magnitudes for validate_box,
+mutual_information for the enumerated RAC
 of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
 and quantum_tables, the phase form batched in numpy, for nlbox.quantum's
 scalar quantum_box, and cutting_planes, which solves the IC
 maximum by linear programs instead of its closed form.  The seeded simplex
-samplers, the reduced-row-echelon simplex map they draw through, and
-zero_variables are test helpers with no caller in nlbox.
+samplers, the reduced-row-echelon simplex map they draw through,
+zero_variables and the enumerations of the 16 local and 8 nonlocal vertices
+are test helpers with no caller in nlbox.
 """
 import functools
 import math
@@ -19,7 +22,7 @@ import re
 
 import numpy as np
 
-from nlbox.boxes import from_correlator_rows
+from nlbox.boxes import _ROW_MAP, Box, from_correlator_rows, local_vertex, nonlocal_vertex
 from nlbox.ic import _entropy
 from nlbox.localrandom import _relation_row, lr_constraints
 from nlbox.search import DomainError, SearchResult
@@ -81,6 +84,25 @@ INPUT_RELATION = {
 def input_row(inp):
     """The input's hand relation as one affine row (coefficients, rhs)."""
     return _relation_row(INPUT_RELATION[inp])
+
+
+def row_stats(p) -> np.ndarray:
+    """Per input row XY of tables p (..., 4, 4): the row total, P(a=0|XY),
+    P(b=0|XY) and P(a=b|XY), in a last axis of length 4."""
+    return np.asarray(p, dtype=float) @ _ROW_MAP  # symmetric: equal to _ROW_MAP.T
+
+
+def all_local_vertices() -> list[Box]:
+    return [
+        local_vertex(a, b, g, d)
+        for a in (0, 1) for b in (0, 1) for g in (0, 1) for d in (0, 1)
+    ]
+
+
+def all_nonlocal_vertices() -> list[Box]:
+    return [
+        nonlocal_vertex(a, b, g) for a in (0, 1) for b in (0, 1) for g in (0, 1)
+    ]
 
 
 def check_magnitudes(p):

@@ -186,7 +186,7 @@ def test_criterion_9_ic_sanity():
         assert ic_ab_satisfied(pr).lhs == 2.0
         assert ic_ba_satisfied(pr).lhs == 2.0
         assert rac_simulate(pr).total == 2.0
-        for v in boxes.all_local_vertices():
+        for v in reference.all_local_vertices():
             assert ic_ab_satisfied(v, 1e-9).satisfied
             assert ic_ba_satisfied(v, 1e-9).satisfied
             assert rac_simulate(v).total <= 1.0

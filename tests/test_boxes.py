@@ -109,7 +109,8 @@ def seeded_tables(seed, n):
     """Vertex mixtures, the same with noise near and far above 1e-9, and
     uniform random tables."""
     rng = np.random.default_rng(seed)
-    verts = np.array([v.p for v in boxes.all_local_vertices() + boxes.all_nonlocal_vertices()])
+    verts = np.array([v.p for v in
+                      reference.all_local_vertices() + reference.all_nonlocal_vertices()])
     tables = []
     for k in range(n):
         p = np.tensordot(rng.dirichlet(np.full(24, 0.3)), verts, 1)
@@ -180,6 +181,31 @@ class TestDerivedCache:
                 with pytest.raises(boxes.InvalidBoxError):
                     ic_quantities(box, tol)
 
+    def test_ic_quantities_are_built_once_per_box(self, monkeypatch):
+        from nlbox import ic
+
+        built, record = [], ic.ICQuantities
+
+        def counting(*args):
+            built.append(args)
+            return record(*args)
+
+        monkeypatch.setattr(ic, "ICQuantities", counting)
+        box = self.near_box()
+        q = ic.ic_quantities(box)
+        for read in (ic.ic_quantities, ic.ic_ab_satisfied, ic.ic_ba_satisfied, ic.rac_simulate):
+            read(box)
+        assert len(built) == 1 and ic.ic_quantities(box) is q
+        with pytest.raises(boxes.InvalidBoxError):  # the kept record skips no check
+            ic.ic_quantities(box, 1e-12)
+        assert len(built) == 1
+
+    def test_stats_match_the_batched_reference(self):
+        for p in seeded_tables(22, 40) + [pr_box().p]:
+            box = Box(p)
+            assert box.stats.tobytes() == reference.row_stats(box.p).tobytes()
+            assert not box.stats.flags.writeable
+
     def test_derived_data_is_read_only(self):
         box = pr_box()
         with pytest.raises(ValueError):
@@ -230,10 +256,48 @@ class TestConstructionTimeFloats:
         def fail(p):
             raise AssertionError("row_stats called")
 
-        monkeypatch.setattr(boxes, "row_stats", fail)
+        monkeypatch.setattr(boxes, "_row_stats", fail)
         with pytest.raises(AssertionError, match="row_stats called"):
             Box(pr_box().p)  # construction does read the patched name
         assert [self.read_everything(box) for box in made] == before
+
+    @pytest.mark.parametrize("row", [
+        [-0.0] * 4,                                 # totals +0.0, as the matmul's
+        [-0.0, 0.0, -0.0, -0.0], [0.0, -0.0, -0.0, 1.0],
+        [1e308, 1e308, 0.0, 0.0],                   # an infinite total
+        [5e-324, 1e-310, -5e-324, 2.5e-308],        # subnormal cells
+    ])
+    def test_float_row_stats_match_the_matmul_bit_for_bit(self, row):
+        tables = [np.full((4, 4), row[0]), np.array([row] * 4)]
+        for k in range(4):
+            tables.append(np.full((4, 4), 0.25))
+            tables[-1][k] = row
+        for p in tables:
+            box = Box(p)
+            with np.errstate(over="ignore"):
+                stats = reference.row_stats(p)
+            assert np.array(box._stats).tobytes() == stats.tobytes()
+            pairs = np.array(box._pairs).reshape(2, 2, 2).transpose(1, 0, 2)
+            assert pairs.tobytes() == boxes._marginals(stats).tobytes()
+
+    def test_box_copies_the_callers_table(self):
+        p = np.full((4, 4), 0.25)
+        box = Box(p)
+        assert p.flags.writeable and not box.p.flags.writeable
+        p[0, 0] = 1.0
+        assert box.p[0, 0] == box.prob(0, 0, 0, 0) == 0.25
+
+    def test_mixtures_own_their_read_only_table(self):
+        from nlbox.cabello import _VERTEX_STACK, cabello_box, hardy_box
+
+        rng = np.random.default_rng(3)
+        c, h, w = rng.dirichlet(np.ones(11)), rng.dirichlet(np.ones(6)), np.array([0.3, 0.7])
+        tables = np.array([pr_box().p, uniform_box().p]).reshape(2, 16)
+        for box, want in ((cabello_box(c), c @ _VERTEX_STACK),
+                          (hardy_box(h), h @ _VERTEX_STACK[:6]),
+                          (mix([pr_box(), uniform_box()], w), w @ tables)):
+            assert box.p.base is None and not box.p.flags.writeable  # no writable alias
+            assert box.p.tobytes() == want.tobytes()  # the matmul's bits
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
     def test_non_finite_or_negative_tol_is_rejected(self, tol):
@@ -344,7 +408,7 @@ class TestCorrelators:
             assert not isinstance(exc.value, InfeasibleCorrelatorError)
 
     def test_round_trip_on_random_mixtures(self):
-        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        verts = reference.all_local_vertices() + reference.all_nonlocal_vertices()
         rng = np.random.default_rng(7)
         for _ in range(200):
             w = rng.dirichlet(np.ones(len(verts)))
@@ -372,7 +436,7 @@ class TestVertices:
                 assert box.prob(1, 1, x, y) == 1.0
 
     def test_sixteen_distinct_local_vertices(self):
-        tables = {v.p.tobytes() for v in boxes.all_local_vertices()}
+        tables = {v.p.tobytes() for v in reference.all_local_vertices()}
         assert len(tables) == 16
 
     def test_pr_is_nonlocal_000(self):
@@ -393,7 +457,7 @@ class TestVertices:
         assert box.prob(0, 1, 1, 1) == 0.5
 
     def test_eight_distinct_nonlocal_vertices(self):
-        verts = boxes.all_nonlocal_vertices()
+        verts = reference.all_nonlocal_vertices()
         assert len({v.p.tobytes() for v in verts}) == 8
         for v in verts:
             assert validate_box(v) == []
@@ -401,13 +465,13 @@ class TestVertices:
             np.testing.assert_array_equal(counts, 2)
 
     def test_nonlocal_marginals_uniform(self):
-        for v in boxes.all_nonlocal_vertices():
+        for v in reference.all_nonlocal_vertices():
             for party in "AB":
                 for inp in (0, 1):
                     assert marginal(v, party, inp) == 0.5
 
     def test_nonlocal_exactly_one_chsh_4(self):
-        for v in boxes.all_nonlocal_vertices():
+        for v in reference.all_nonlocal_vertices():
             hits = [
                 (x, y)
                 for x in (0, 1)
@@ -429,11 +493,11 @@ class TestMix:
                 assert box.prob(1, 1, x, y) == 0.5
 
     def test_uniform_from_all_local_vertices(self):
-        box = mix(boxes.all_local_vertices(), [1 / 16] * 16)
+        box = mix(reference.all_local_vertices(), [1 / 16] * 16)
         np.testing.assert_allclose(box.p, 0.25, atol=1e-15)
 
     def test_convexity_preserves_validity(self):
-        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        verts = reference.all_local_vertices() + reference.all_nonlocal_vertices()
         rng = np.random.default_rng(11)
         for _ in range(50):
             w = rng.dirichlet(np.ones(len(verts)))
@@ -458,7 +522,7 @@ class TestChsh:
         assert chsh_value(pr_box(), 1, 1) == 4.0
 
     def test_local_vertices_at_most_2(self):
-        for v in boxes.all_local_vertices():
+        for v in reference.all_local_vertices():
             for x in (0, 1):
                 for y in (0, 1):
                     assert chsh_value(v, x, y) <= 2.0 + 1e-12
@@ -486,7 +550,7 @@ class TestMarginal:
     def test_both_marginal_computations_agree(self):
         # on mixtures the marginal of each input is the same for both remote
         # inputs, to rounding
-        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        verts = reference.all_local_vertices() + reference.all_nonlocal_vertices()
         rng = np.random.default_rng(3)
         for _ in range(1000):
             w = rng.dirichlet(np.ones(len(verts)))
@@ -516,21 +580,22 @@ class TestMarginal:
 
 class TestRowMap:
     def test_both_maps_are_symmetric(self):
-        # row_stats and from_correlator_rows multiply by them untransposed
+        # reference.row_stats and from_correlator_rows multiply by them untransposed
         for m in (boxes._ROW_MAP, boxes._FROM_CORRELATORS):
             assert np.array_equal(m, m.T)
-        np.testing.assert_array_equal(boxes.row_stats(pr_box().p), pr_box().p @ boxes._ROW_MAP.T)
+        np.testing.assert_array_equal(reference.row_stats(pr_box().p),
+                                      pr_box().p @ boxes._ROW_MAP.T)
 
     def test_row_stats_of_the_pr_box(self):
         # per row XY: total, P(a=0|XY), P(b=0|XY), P(a=b|XY)
         expected = [[1.0, 0.5, 0.5, 1.0]] * 3 + [[1.0, 0.5, 0.5, 0.0]]
-        np.testing.assert_array_equal(boxes.row_stats(pr_box().p), expected)
+        np.testing.assert_array_equal(reference.row_stats(pr_box().p), expected)
 
     def test_correlator_rows_are_inverted(self):
         # the map acts row by row, so tables whose every row is the same
         # unit vector e_ab check the inverse on a basis
         units = np.repeat(np.eye(4)[:, None, :], 4, axis=1)  # [ab, XY, column]
-        stats = boxes.row_stats(units)
+        stats = reference.row_stats(units)
         rows = 2.0 * stats - stats[..., :1]  # total, C_A, C_B, C_AB
         np.testing.assert_array_equal(boxes.from_correlator_rows(rows), units)
 

@@ -72,7 +72,7 @@ class TestConditions:
         assert abs(ic_ba_satisfied(box).lhs - 1.0) <= 1e-6
 
     def test_local_mixtures_satisfy(self):
-        verts = boxes.all_local_vertices()
+        verts = reference.all_local_vertices()
         rng = np.random.default_rng(5)
         for _ in range(100):
             box = boxes.mix(verts, rng.dirichlet(np.ones(16)))
@@ -355,7 +355,7 @@ def rac_by_enumeration(box):
 class TestRac:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(15)
-        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        verts = reference.all_local_vertices() + reference.all_nonlocal_vertices()
         mixtures = [boxes.mix(verts, rng.dirichlet(np.ones(24))) for _ in range(500)]
         for box in verts + [boxes.uniform_box()] + mixtures:
             (p0, p1), (mi0, mi1) = rac_by_enumeration(box)
@@ -365,7 +365,7 @@ class TestRac:
 
     def test_mutual_information_is_one_minus_binary_entropy(self):
         rng = np.random.default_rng(16)
-        verts = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+        verts = reference.all_local_vertices() + reference.all_nonlocal_vertices()
         for _ in range(500):
             out = rac_simulate(boxes.mix(verts, rng.dirichlet(np.full(24, 0.3))))
             for p, mi in ((out.p_bit0, out.mi_bit0), (out.p_bit1, out.mi_bit1)):
@@ -389,7 +389,7 @@ class TestRac:
         assert abs(out.total) <= 1e-12
 
     def test_all_local_vertices_at_most_one_bit(self):
-        for v in boxes.all_local_vertices():
+        for v in reference.all_local_vertices():
             assert rac_simulate(v).total <= 1.0 + 1e-9
 
 

@@ -13,7 +13,7 @@ from nlbox.ic import ic_cabello_lhs, ic_quantities
 # fixed examples, no deadline: the Tier-1 suite stays deterministic
 PROPERTY = settings(derandomize=True, deadline=None)
 
-VERTICES = boxes.all_local_vertices() + boxes.all_nonlocal_vertices()
+VERTICES = reference.all_local_vertices() + reference.all_nonlocal_vertices()
 
 
 def simplex_points(n):
@@ -76,10 +76,10 @@ def test_box_floats_match_the_array_formulas(p):
     assert box.check_magnitudes.tobytes() == magnitudes.tobytes()
     assert box.worst_check == magnitudes.max()  # a zero max may differ in sign
     pairs = np.array(box._pairs).reshape(2, 2, 2).transpose(1, 0, 2)  # [party, input, remote]
-    assert pairs.tobytes() == boxes._marginals(boxes.row_stats(p)).tobytes()
+    assert pairs.tobytes() == boxes._marginals(reference.row_stats(p)).tobytes()
     cells = [[box.prob(a, b, x, y) for a in (0, 1) for b in (0, 1)] for x in (0, 1) for y in (0, 1)]
     assert np.array(cells).tobytes() == box.p.tobytes()
-    agree = boxes.row_stats(p)[:, 3]  # P(a=b|XY)
+    agree = reference.row_stats(p)[:, 3]  # P(a=b|XY)
     want = 0.5 * np.array([agree[0] + agree[2], agree[1] + (1.0 - agree[3]),
                            agree[0] + agree[1], agree[2] + (1.0 - agree[3])])
     if box.worst_check <= boxes.DEFAULT_TOL:
