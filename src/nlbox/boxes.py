@@ -21,17 +21,6 @@ DEFAULT_TOL = 1e-9
 ROW_OF = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
 _PAIRS = tuple(f"{x}{y}" for x, y in ROW_OF)  # labels of the rows XY and columns ab
 
-# The one linear map of the table: for tables p of shape (..., 4, 4),
-# p @ _ROW_MAP.T gives per input row XY the row total, P(a=0|XY), P(b=0|XY)
-# and P(a=b|XY).  Outcome 0 counts as +1, so 2 _ROW_MAP - 1 gives the row
-# total, C_A, C_B and C_AB of each row instead, and its inverse takes rows
-# (1, C_A, C_B, C_AB) back to the table.  2 _ROW_MAP - 1 is a symmetric
-# Hadamard matrix (its square is 4 I), so that inverse is it divided by 4.
-# Both maps are symmetric, so from_correlator_rows multiplies by its map
-# directly, and _row_stats sums on floats the cells each row of _ROW_MAP picks.
-_ROW_MAP = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=float)
-_FROM_CORRELATORS = (2.0 * _ROW_MAP - 1.0) / 4.0
-
 
 class BoxError(ValueError):
     """Base class for box-level failures."""
@@ -60,6 +49,10 @@ class SignalingError(BoxError):
 
 class InfeasibleCorrelatorError(BoxError):
     """Correlators that reconstruct to a negative probability."""
+
+
+class CoefficientError(ValueError):
+    """Weights off the probability simplex."""
 
 
 @dataclass(frozen=True, init=False)
@@ -185,16 +178,8 @@ class Violation:
     magnitude: float
 
 
-def _mixture_box(weights: np.ndarray, tables: np.ndarray) -> Box:
-    """The Box of float weights (n,) times raveled tables (n, 16), the
-    product written straight into its table instead of copied there."""
-    p = np.empty((4, 4))
-    np.dot(weights, tables, out=p.reshape(16))
-    return object.__new__(Box)._read(p)
-
-
 def _row_stats(c: list[float]) -> list[float]:
-    """The raveled cells times _ROW_MAP; each sum starts at +0.0, as a matmul's does."""
+    """Box.stats of the raveled cells; each sum starts at +0.0, as a matmul's does."""
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 = c
     return [0.0 + c0 + c1 + c2 + c3, 0.0 + c0 + c1, 0.0 + c0 + c2, 0.0 + c0 + c3,
             0.0 + c4 + c5 + c6 + c7, 0.0 + c4 + c5, 0.0 + c4 + c6, 0.0 + c4 + c7,
@@ -202,9 +187,21 @@ def _row_stats(c: list[float]) -> list[float]:
             0.0 + c12 + c13 + c14 + c15, 0.0 + c12 + c13, 0.0 + c12 + c14, 0.0 + c12 + c15]
 
 
-def from_correlator_rows(rows) -> np.ndarray:
-    """Tables (..., 4, 4) from their rows (1, C_A, C_B, C_AB) per input XY."""
-    return np.asarray(rows, dtype=float) @ _FROM_CORRELATORS  # symmetric: equal to its .T
+def _correlator_cells(quarters) -> list[float]:
+    """The raveled cells 1/4 +- C_A/4 +- C_B/4 +- C_AB/4 of each row XY from its
+    (C_A/4, C_B/4, C_AB/4), outcome 0 as +1, summed left to right as a matmul does."""
+    cells = []
+    for a, b, c in quarters:
+        cells += 0.25 + a + b + c, 0.25 + a - b - c, 0.25 - a + b - c, 0.25 - a - b + c
+    return cells
+
+
+def _table_box(cells) -> Box:
+    """The Box of 16 raveled float cells, a list or a fresh array that no
+    caller holds, such as a mixture's weights (n,) times raveled tables (n, 16)."""
+    p = np.asarray(cells, dtype=float)
+    p.shape = (4, 4)  # in place: a reshaped view would keep a second array object
+    return object.__new__(Box)._read(p)
 
 
 def _marginals(stats: np.ndarray) -> np.ndarray:
@@ -231,6 +228,32 @@ _MARGINAL_PAIRS = itemgetter(
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < math.inf:  # nan fails both comparisons
         raise ValueError(f"tol must be a finite value >= 0, got {tol!r}")
+
+
+def _as_coefficients(c) -> np.ndarray:
+    try:
+        return np.asarray(c, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"coefficients must be numbers: {exc}") from None
+
+
+def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    _check_tol(tol)
+    arr = _as_coefficients(c)
+    if arr.shape != (n,):
+        raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
+    values = arr.tolist()
+    try:
+        total = math.fsum(values)  # correctly rounded, so the message reports the exact sum
+    except (OverflowError, ValueError):  # inf - inf is reported as non-finite below,
+        total = math.inf  # and weights >= -tol that overflow sum to +inf
+    if min(values) >= -tol and abs(total - 1.0) <= tol:
+        return arr  # valid weights; any other vector gets the checks below, in order
+    if not all(map(math.isfinite, values)):
+        raise CoefficientError("non-finite coefficient")
+    if min(values) < -tol:
+        raise CoefficientError(f"negative coefficient {min(values)}")
+    raise CoefficientError(f"coefficients sum to {total}, not 1")
 
 
 def validate_box(box: Box, tol: float = DEFAULT_TOL) -> list[Violation]:
@@ -273,14 +296,14 @@ def to_correlators(box: Box, tol: float = DEFAULT_TOL) -> CorrelatorForm:
 def from_correlators(corr: CorrelatorForm, tol: float = DEFAULT_TOL) -> Box:
     """Invert to the probability table; raise if any entry leaves [0, 1]."""
     _check_tol(tol)
-    rows = np.stack([np.ones(4), np.repeat(corr.c_x, 2), np.tile(corr.c_y, 2),
-                     np.ravel(corr.c_xy)], -1)  # rows XY = 2X + Y
-    p = from_correlator_rows(rows)
-    if p.min() < -tol or p.max() > 1.0 + tol:
-        raise InfeasibleCorrelatorError(
-            f"reconstructed entries span [{p.min()}, {p.max()}]"
-        )
-    return Box(np.clip(p, 0.0, 1.0))
+    # rows XY = 2X + Y; the conversion turns a None into NaN, as Box's does
+    values = np.array([corr.c_x, corr.c_y, *corr.c_xy], dtype=float).tolist()
+    (a0, a1), (b0, b1), (c0, c1), (c2, c3) = ([0.25 * v for v in pair] for pair in values)
+    cells = _correlator_cells([(a0, b0, c0), (a0, b1, c1), (a1, b0, c2), (a1, b1, c3)])
+    lo, hi = min(cells), max(cells)
+    if (lo < -tol or hi > 1.0 + tol) and not any(map(math.isnan, cells)):  # NaN: Box raises
+        raise InfeasibleCorrelatorError(f"reconstructed entries span [{lo}, {hi}]")
+    return _table_box([min(max(v, 0.0), 1.0) for v in cells])
 
 
 def local_vertex(alpha: int, beta: int, gamma: int, delta: int) -> Box:
@@ -313,17 +336,12 @@ def uniform_box() -> Box:
 
 
 def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL) -> Box:
-    """Entrywise convex combination of boxes."""
-    _check_tol(tol)
-    w = np.array(list(weights), dtype=float)
+    """Entrywise convex combination of boxes with check_coefficients' weights."""
+    w = list(weights)
     if len(boxes) != len(w):
         raise ValueError(f"{len(boxes)} boxes but {len(w)} weights")
-    if w.min() < -tol:
-        raise ValueError(f"negative weight {w.min()}")
-    if abs(w.sum() - 1.0) > tol:
-        raise ValueError(f"weights sum to {w.sum()}, not 1")
-    tables = np.array([box.p for box in boxes]).reshape(len(w), 16)
-    return _mixture_box(w, tables)
+    w = check_coefficients(w, len(w), tol)
+    return _table_box(np.dot(w, np.array([box.p for box in boxes]).reshape(len(w), 16)))
 
 
 def chsh_value(box: Box, x: int, y: int, tol: float = DEFAULT_TOL) -> float:

@@ -11,20 +11,15 @@ the table, q4 - q1 among them, is the form's value at each vertex dotted with c.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import boxes
-from .boxes import Box, DEFAULT_TOL
+from .boxes import Box, CoefficientError, DEFAULT_TOL, _as_coefficients, check_coefficients
 # bound only so that perfbench/tracing.py can patch nlbox.cabello.maximize
 from .search import maximize
-
-
-class CoefficientError(ValueError):
-    """Weights off the probability simplex."""
 
 
 # vertex order matches the coefficient order c1..c11
@@ -49,38 +44,10 @@ _VERTEX_STACK = np.array([v.p.ravel() for v in CABELLO_VERTICES])
 _SUCCESS = _VERTEX_STACK[:, 15] - _VERTEX_STACK[:, 0]  # q4 - q1 = P(11|11) - P(00|00)
 
 
-def _as_coefficients(c) -> np.ndarray:
-    try:
-        return np.asarray(c, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CoefficientError(f"coefficients must be numbers: {exc}") from None
-
-
-def check_coefficients(c: Sequence[float], n: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    boxes._check_tol(tol)
-    arr = _as_coefficients(c)
-    if arr.shape != (n,):
-        raise CoefficientError(f"expected {n} coefficients, got shape {arr.shape}")
-    values = arr.tolist()
-    try:
-        total = math.fsum(values)  # correctly rounded, so the message reports the exact sum
-    except (OverflowError, ValueError):  # inf - inf is reported as non-finite below,
-        total = math.inf  # and weights >= -tol that overflow sum to +inf
-    if min(values) >= -tol and abs(total - 1.0) <= tol:
-        return arr  # valid weights; any other vector gets the checks below, in order
-    if not all(map(math.isfinite, values)):
-        raise CoefficientError("non-finite coefficient")
-    if min(values) < -tol:
-        raise CoefficientError(f"negative coefficient {min(values)}")
-    raise CoefficientError(f"coefficients sum to {total}, not 1")
-
-
 def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
-    """Checked c1..c11 from 6 Hardy weights (c7..c11 = 0) or 11 Cabello ones."""
+    """Unchecked c1..c11 from 6 Hardy weights (c7..c11 = 0) or 11 Cabello ones."""
     c = _as_coefficients(c)
-    if c.shape == (6,):
-        c = np.concatenate([c, np.zeros(5)])
-    return check_coefficients(c, 11)
+    return np.concatenate([c, np.zeros(5)]) if c.shape == (6,) else c
 
 
 def coefficients_from_json(text: str) -> np.ndarray:
@@ -109,14 +76,12 @@ class SuccessMetrics:
 
 def hardy_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the six Hardy vertices with weights c1..c6."""
-    arr = check_coefficients(c, 6, tol)
-    return boxes._mixture_box(arr, _VERTEX_STACK[:6])
+    return boxes._table_box(np.dot(check_coefficients(c, 6, tol), _VERTEX_STACK[:6]))
 
 
 def cabello_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the eleven Cabello vertices with weights c1..c11."""
-    arr = check_coefficients(c, 11, tol)
-    return boxes._mixture_box(arr, _VERTEX_STACK)
+    return boxes._table_box(np.dot(check_coefficients(c, 11, tol), _VERTEX_STACK))
 
 
 # perfbench/workloads.py still calls the Cabello table by this name

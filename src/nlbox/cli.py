@@ -88,12 +88,11 @@ def cmd_vertex(args) -> int:
 
 
 def cmd_cabello(args) -> int:
-    c = _load_coeffs(args.coeffs)
-    box = cabello.cabello_box(c, args.tol)
+    box = cabello.cabello_box(_load_coeffs(args.coeffs), args.tol)
     q = cabello.extract_q(box)
     runs, _ = cabello.check_cabello_conditions(box, args.tol)
     _emit(args, json.dumps({
-        "box": json.loads(box.to_json()),
+        "box": {"p": box.p.tolist()},
         "q": {"q1": q.q1, "q2": q.q2, "q3": q.q3, "q4": q.q4},
         "success": q.success,
         "argument_runs": runs,
@@ -103,8 +102,7 @@ def cmd_cabello(args) -> int:
 
 def cmd_ic(args) -> int:
     if args.coeffs is not None:
-        c = _load_coeffs(args.coeffs)
-        lhs1, lhs2 = ic.ic_cabello_lhs(c, args.tol)
+        lhs1, lhs2 = ic.ic_cabello_lhs(_load_coeffs(args.coeffs), args.tol)
     else:
         box = _load_box(args)
         lhs1 = ic.ic_ab_satisfied(box, args.tol).lhs
@@ -162,12 +160,14 @@ def cmd_table2(args) -> int:
     ok = True
     rows = []
     for chk in checks:
-        ok = ok and chk.lhs_match and chk.ic_ok
+        ok = ok and chk.lhs_match and chk.ic_ok and chk.constraints_ok
         if not chk.lhs_match:
             print(
                 f"case {chk.row.case_id}: fixture ({chk.row.lhs1}, {chk.row.lhs2}) "
                 f"!= recomputed {chk.recomputed}", file=sys.stderr,
             )
+        if not chk.constraints_ok:
+            print(f"case {chk.row.case_id}: fixture row is off its system", file=sys.stderr)
         rows.append({
             "case": chk.row.case_id,
             "c": chk.row.c.tolist(),

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxes import Box, MalformedBoxError
+from .boxes import Box, MalformedBoxError, _table_box, _correlator_cells
 from .localrandom import case_inputs
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.quantum.maximize
@@ -65,13 +65,13 @@ def quantum_box(scen: QuantumScenario) -> Box:
         C_AB = sin(2 beta) sin(theta_X) sin(theta_Y) cos(gamma - phi_X - phi_Y)
                + cos(theta_X) cos(theta_Y),
 
-    with outcome 0 counted as +1, so that row XY holds the cells 1/4 +- C_A/4
-    +- C_B/4 +- C_AB/4 with the signs of ``boxes._FROM_CORRELATORS``, on
-    plain floats from ``math.cos`` and ``math.sin``.  It is the Bloch form
-    P(ab|XY) = (1 + a m.r + b n.r + a b m.T n) / 4 of cos(beta)|00> +
-    e^{i gamma} sin(beta)|11>, whose Bloch vectors are r = cos(2 beta) z and
-    whose correlation matrix T turns the equatorial parts of m and n into
-    the phase cosine.  An angle that is not a finite real number raises
+    with outcome 0 counted as +1, on plain floats from ``math.cos`` and
+    ``math.sin``; ``boxes._correlator_cells`` turns them into the cells
+    1/4 +- C_A/4 +- C_B/4 +- C_AB/4.  It is the Bloch form P(ab|XY) =
+    (1 + a m.r + b n.r + a b m.T n) / 4 of cos(beta)|00> + e^{i gamma}
+    sin(beta)|11>, whose Bloch vectors are r = cos(2 beta) z and whose
+    correlation matrix T turns the equatorial parts of m and n into the
+    phase cosine.  An angle that is not a finite real number raises
     MalformedBoxError.
     """
     state = scen.state
@@ -81,17 +81,15 @@ def quantum_box(scen: QuantumScenario) -> Box:
         cos_2b, sin_2b = math.cos(two_beta), math.sin(two_beta)
         bob = [(math.cos(d.theta), math.sin(d.theta), d.phi) for d in (scen.b0, scen.b1)]
         c_b = [0.25 * (cos_2b * cos_y) for cos_y, _, _ in bob]
-        rows = []
+        quarters = []
         for d in (scen.a0, scen.a1):
             cos_x, sin_x = math.cos(d.theta), math.sin(d.theta)
             a = 0.25 * (cos_2b * cos_x)
             s = sin_2b * sin_x
             g = state.gamma - d.phi
             for (cos_y, sin_y, phi_y), b in zip(bob, c_b):
-                c = 0.25 * (s * sin_y * math.cos(g - phi_y) + cos_x * cos_y)
-                rows.append([0.25 + a + b + c, 0.25 + a - b - c,
-                             0.25 - a + b - c, 0.25 - a - b + c])
-        return Box(rows)
+                quarters.append((a, b, 0.25 * (s * sin_y * math.cos(g - phi_y) + cos_x * cos_y)))
+        return _table_box(_correlator_cells(quarters))
     except (TypeError, ValueError):  # MalformedBoxError for NaN cells included
         raise MalformedBoxError(
             f"quantum angles must be finite real numbers: {scen!r}") from None

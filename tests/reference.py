@@ -5,16 +5,17 @@ nlbox reads every linear form in the weights c1..c11 off its vertex stack
 hand from the vertex tables instead, so the tests compare two independent
 derivations of the same forms.  The rest are independent references too:
 row_stats, the batched matmul by the table's linear map, for the float row
-stats that Box sums at construction, check_magnitudes for validate_box,
-mutual_information for the enumerated RAC
-of tests/test_ic.py and so for rac_simulate, joint_probability, which
+stats that Box sums at construction, from_correlator_rows, the matmul by
+its inverse, for the float cells of from_correlators and quantum_box,
+check_magnitudes for validate_box, mutual_information for the enumerated
+RAC of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
 and quantum_tables, the phase form batched in numpy, for nlbox.quantum's
 scalar quantum_box, and cutting_planes, which solves the IC
 maximum by linear programs instead of its closed form.  The seeded simplex
 samplers, the reduced-row-echelon simplex map they draw through,
-zero_variables and the enumerations of the 16 local and 8 nonlocal vertices
-are test helpers with no caller in nlbox.
+zero_variables, coeffs and the enumerations of the 16 local and 8 nonlocal
+vertices are test helpers with no caller in nlbox.
 """
 import functools
 import math
@@ -22,10 +23,18 @@ import re
 
 import numpy as np
 
-from nlbox.boxes import _ROW_MAP, Box, from_correlator_rows, local_vertex, nonlocal_vertex
+from nlbox.boxes import Box, local_vertex, nonlocal_vertex
 from nlbox.ic import _entropy
 from nlbox.localrandom import _relation_row, lr_constraints
 from nlbox.search import DomainError, SearchResult
+
+
+def coeffs(**kv):
+    """The weights c1..c11 with the named ones set, e.g. coeffs(c6=1.0)."""
+    c = np.zeros(11)
+    for name, val in kv.items():
+        c[int(name[1:]) - 1] = val
+    return c
 
 
 def rsuv(c):
@@ -84,6 +93,23 @@ INPUT_RELATION = {
 def input_row(inp):
     """The input's hand relation as one affine row (coefficients, rhs)."""
     return _relation_row(INPUT_RELATION[inp])
+
+
+# The table's linear map as a matrix: for tables p of shape (..., 4, 4),
+# p @ _ROW_MAP.T gives per input row XY the row total, P(a=0|XY), P(b=0|XY)
+# and P(a=b|XY).  Outcome 0 counts as +1, so 2 _ROW_MAP - 1 gives the row
+# total, C_A, C_B and C_AB of each row instead, and its inverse takes rows
+# (1, C_A, C_B, C_AB) back to the table.  2 _ROW_MAP - 1 is a symmetric
+# Hadamard matrix (its square is 4 I), so that inverse is it divided by 4.
+# Both maps are symmetric, so row_stats and from_correlator_rows multiply
+# by them directly.
+_ROW_MAP = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=float)
+_FROM_CORRELATORS = (2.0 * _ROW_MAP - 1.0) / 4.0
+
+
+def from_correlator_rows(rows) -> np.ndarray:
+    """Tables (..., 4, 4) from their rows (1, C_A, C_B, C_AB) per input XY."""
+    return np.asarray(rows, dtype=float) @ _FROM_CORRELATORS  # symmetric: equal to its .T
 
 
 def row_stats(p) -> np.ndarray:

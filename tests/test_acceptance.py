@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import reference
+from reference import coeffs
 from nlbox import boxes
 from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.cabello import (
@@ -54,13 +55,6 @@ def criterion(num, description):
         print(f"ACCEPTANCE {num} FAIL: {description}", file=sys.__stdout__, flush=True)
         raise
     print(f"ACCEPTANCE {num} PASS: {description}", file=sys.__stdout__, flush=True)
-
-
-def coeffs(**kv):
-    c = np.zeros(11)
-    for name, val in kv.items():
-        c[int(name[1:]) - 1] = val
-    return c
 
 
 def test_criterion_1_ns_bound():

@@ -3,14 +3,16 @@ import copy
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 import reference
-from nlbox import boxes
+from nlbox import boxes, cabello
 from nlbox.boxes import (
     Box,
+    CoefficientError,
     CorrelatorForm,
     InfeasibleCorrelatorError,
     MalformedBoxError,
@@ -416,6 +418,58 @@ class TestCorrelators:
             rebuilt = from_correlators(to_correlators(box))
             np.testing.assert_allclose(rebuilt.p, box.p, atol=1e-12)
 
+    def test_an_infinite_correlator_is_infeasible_without_a_warning(self):
+        corr = CorrelatorForm((math.inf, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleCorrelatorError) as exc:
+                from_correlators(corr)
+        assert str(exc.value) == "reconstructed entries span [-inf, inf]"
+
+    def test_a_none_correlator_is_malformed(self):
+        corr = CorrelatorForm((None, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(MalformedBoxError):
+            from_correlators(corr)
+
+    def test_cells_match_the_matmul_by_the_inverse_map_bit_for_bit(self):
+        # the matmul form: rows (1, C_A, C_B, C_AB) times the inverse map; a
+        # NaN table goes to Box, which raises, and a table out of
+        # [-tol, 1 + tol] is infeasible
+        def by_matmul(v, tol):
+            rows = np.stack([np.ones(4), np.repeat(v[:2], 2), np.tile(v[2:4], 2), v[4:]], -1)
+            with np.errstate(all="ignore"):
+                p = reference.from_correlator_rows(rows)
+            if np.isnan(p).any():
+                return MalformedBoxError, "probability table contains non-finite entries"
+            if p.min() < -tol or p.max() > 1.0 + tol:
+                return InfeasibleCorrelatorError, (
+                    f"reconstructed entries span [{p.min()}, {p.max()}]")
+            return np.clip(p, 0.0, 1.0).tobytes()
+
+        special = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, 1e308, math.inf, -math.inf,
+                   math.nan]
+        rng = np.random.default_rng(22)
+        forms = [rng.uniform(-1.2, 1.2, 8) for _ in range(2000)]
+        forms += [rng.uniform(-0.4, 0.4, 8) for _ in range(2000)]
+        for v in forms[::2]:  # special values among the uniform ones
+            v[rng.integers(8, size=3)] = rng.choice(special, size=3)
+        forms += [rng.choice(special, size=8) for _ in range(2000)]
+        feasible = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, v in enumerate(forms):
+                tol = (1e-9, 0.0, 0.3)[k % 3]
+                corr = CorrelatorForm(tuple(v[:2]), tuple(v[2:4]), (tuple(v[4:6]), tuple(v[6:])))
+                expected = by_matmul(v, tol)
+                if isinstance(expected, bytes):
+                    assert from_correlators(corr, tol).p.tobytes() == expected
+                    feasible += 1
+                else:
+                    with pytest.raises(expected[0]) as exc:
+                        from_correlators(corr, tol)
+                    assert str(exc.value) == expected[1]
+        assert feasible > 1000, feasible
+
 
 class TestVertices:
     def test_local_vertex_all_zero(self):
@@ -509,6 +563,20 @@ class TestMix:
         with pytest.raises(ValueError):
             mix([pr_box()], [0.5, 0.5])
 
+    def test_a_nan_weight_is_a_non_finite_coefficient(self):
+        with pytest.raises(CoefficientError) as exc:
+            mix([pr_box(), uniform_box()], [math.nan, 1.0])
+        assert str(exc.value) == "non-finite coefficient"
+
+    def test_weights_are_checked_by_the_coefficient_check(self):
+        assert cabello.check_coefficients is boxes.check_coefficients
+        assert cabello.CoefficientError is CoefficientError
+        for weights, message in (([0.7, 0.7], "coefficients sum to 1.4, not 1"),
+                                 ([1.2, -0.2], "negative coefficient -0.2")):
+            with pytest.raises(CoefficientError) as exc:
+                mix([pr_box(), uniform_box()], weights)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
     def test_non_finite_or_negative_tol_is_rejected(self, tol):
         # weights (3, -2) would give an entry of -0.5 under tol = nan
@@ -581,10 +649,10 @@ class TestMarginal:
 class TestRowMap:
     def test_both_maps_are_symmetric(self):
         # reference.row_stats and from_correlator_rows multiply by them untransposed
-        for m in (boxes._ROW_MAP, boxes._FROM_CORRELATORS):
+        for m in (reference._ROW_MAP, reference._FROM_CORRELATORS):
             assert np.array_equal(m, m.T)
         np.testing.assert_array_equal(reference.row_stats(pr_box().p),
-                                      pr_box().p @ boxes._ROW_MAP.T)
+                                      pr_box().p @ reference._ROW_MAP.T)
 
     def test_row_stats_of_the_pr_box(self):
         # per row XY: total, P(a=0|XY), P(b=0|XY), P(a=b|XY)
@@ -597,7 +665,7 @@ class TestRowMap:
         units = np.repeat(np.eye(4)[:, None, :], 4, axis=1)  # [ab, XY, column]
         stats = reference.row_stats(units)
         rows = 2.0 * stats - stats[..., :1]  # total, C_A, C_B, C_AB
-        np.testing.assert_array_equal(boxes.from_correlator_rows(rows), units)
+        np.testing.assert_array_equal(reference.from_correlator_rows(rows), units)
 
 
 class TestHash:

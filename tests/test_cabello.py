@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import coeffs
 from nlbox import boxes
 from nlbox.cabello import (
     CABELLO_VERTICES,
@@ -21,13 +22,6 @@ from nlbox.cabello import (
     success_closed_form,
 )
 from nlbox.ic import ic_cabello_lhs
-
-
-def coeffs(**kv):
-    c = np.zeros(11)
-    for name, val in kv.items():
-        c[int(name[1:]) - 1] = val
-    return c
 
 
 class TestHardyBox:

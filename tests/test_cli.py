@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface."""
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import nlbox.cli
+import nlbox.localrandom
 from nlbox.boxes import Box, pr_box
 from nlbox.cabello import hardy_box
 
@@ -217,6 +219,20 @@ class TestCoefficientCommands:
             assert nlbox.cli.main(["cabello", "--coeffs", "1e308,1e308" + ",0" * 9]) == 2
         assert capsys.readouterr().err == "error: coefficients sum to inf, not 1\n"
 
+    @pytest.mark.parametrize("command", ["cabello", "ic"])
+    def test_tol_applies_to_the_coefficients(self, tmp_path, capsys, command):
+        # c6 = 1.0001: off the simplex at the default tol, on it at 1e-3,
+        # inline and from a file alike
+        inline = "0,0,0,0,0,1.0001,0,0,0,0,0"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"c": [float(v) for v in inline.split(",")]}))
+        for spec in (inline, str(path)):
+            assert nlbox.cli.main([command, "--coeffs", spec]) == 2
+            assert capsys.readouterr().err == "error: coefficients sum to 1.0001, not 1\n"
+            assert nlbox.cli.main([command, "--coeffs", spec, "--tol", "1e-3"]) == 0
+            out = capsys.readouterr()
+            assert out.err == "" and json.loads(out.out)
+
     def test_ic_roundtrip_through_box_parser(self):
         box_json = run_cli("vertex", "nonlocal", "0", "0", "0").stdout
         proc = run_cli("ic", "--box", "-", stdin=box_json)
@@ -250,6 +266,21 @@ class TestTables:
         assert proc.returncode == 0
         case2 = [l for l in proc.stdout.splitlines() if l.startswith("2,")]
         assert any("0.0800,0.4000" in l for l in case2)
+
+    def test_table2_fails_on_a_fixture_row_off_its_system(self, monkeypatch, capsys):
+        verify = nlbox.localrandom.verify_table2
+
+        def one_row_off():
+            checks = verify()
+            checks[3] = dataclasses.replace(checks[3], constraints_ok=False)
+            return checks
+
+        monkeypatch.setattr(nlbox.localrandom, "verify_table2", one_row_off)
+        assert nlbox.cli.main(["table2", "--format", "csv"]) == 1
+        case = verify()[3].row.case_id
+        out = capsys.readouterr()
+        assert out.err == f"case {case}: fixture row is off its system\n"
+        assert f"{case}," in out.out and ",True,False" in out.out
 
     def test_table3_case_12(self):
         proc = run_cli("table3", "--restarts", "16", "--format", "csv")

@@ -10,6 +10,7 @@ import pytest
 import sympy as sp
 
 import reference
+from reference import coeffs
 from nlbox import boxes
 from nlbox.cabello import _SUCCESS, SuccessMetrics, cabello_box, extract_q
 from nlbox.ic import (
@@ -28,13 +29,6 @@ from nlbox.ic import (
 from nlbox.localrandom import lr_cases, lr_constraints
 from nlbox.search import DomainError
 from nlbox.quantum import max_cabello_qm, max_hardy_qm, quantum_box, tsirelson_scenario
-
-
-def coeffs(**kv):
-    c = np.zeros(11)
-    for name, val in kv.items():
-        c[int(name[1:]) - 1] = val
-    return c
 
 
 class TestICQuantities:

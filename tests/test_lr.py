@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import coeffs
 from nlbox import boxes, cli, localrandom
 from nlbox.boxes import marginal
 from nlbox.cabello import CABELLO_VERTICES, cabello_box
@@ -20,13 +21,6 @@ from nlbox.localrandom import (
     lr_constraints,
     verify_table2,
 )
-
-
-def coeffs(**kv):
-    c = np.zeros(11)
-    for name, val in kv.items():
-        c[int(name[1:]) - 1] = val
-    return c
 
 
 def input_row(inp):
