@@ -131,8 +131,7 @@ _IC_BOUND = (math.sqrt(2.0) - 1.0) / 2.0
 
 
 def _holds_at(equalities, c: np.ndarray) -> bool:
-    return equalities is None or bool(
-        np.all(np.abs(np.asarray(equalities[0]) @ c - equalities[1]) <= 1e-12))
+    return equalities is None or bool(np.all(np.abs(equalities[0] @ c - equalities[1]) <= 1e-12))
 
 
 def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> SearchResult:
@@ -149,10 +148,17 @@ def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> 
     satisfies every equality system that holds at c6 = 1 and at c11 = 1,
     as no system and each local-randomness system do.  That point is
     returned with ``method="closed-form"``, ``upper_bound=_IC_BOUND`` and
-    no evaluations; any other ``equalities`` raise DomainError.
-    ``restarts`` and ``seed`` have no effect; they are accepted so that
-    existing callers keep working.
+    no evaluations; any other ``equalities`` raise DomainError, as do an
+    ``A`` that is not rows of 11 numbers and a ``b`` without one entry per
+    row.  ``restarts`` and ``seed`` have no effect; they are accepted so
+    that existing callers keep working.
     """
+    if equalities is not None:
+        a, b = (np.asarray(e, dtype=float) for e in equalities)
+        if a.ndim != 2 or a.shape[1] != 11 or b.shape != a.shape[:1]:
+            raise DomainError(f"equalities need A of shape (k, 11) and b of shape (k,), "
+                              f"not {a.shape} and {b.shape}")
+        equalities = a, b
     if not (_holds_at(equalities, _C6) and _holds_at(equalities, _C11)):
         raise DomainError("the IC maximum is certified only for equalities "
                           "that hold at c6 = 1 and at c11 = 1")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,26 +102,22 @@ def marginal_bias(state: PureState, direction: MeasurementDirection) -> float:
 
 
 def _check_open(beta, *thetas) -> None:
-    """Raise unless every beta lies in (0, pi/2) and every theta in (0, pi)."""
+    """Raise unless beta lies in (0, pi/2) and every theta in (0, pi)."""
     for name, value, top, label in (("beta", beta, HALF_PI, "pi/2"),
                                     *(("theta", th, math.pi, "pi") for th in thetas)):
-        inside = (0.0 < value) & (value < top)
-        if not np.all(inside):
-            bad = np.asarray(value)[np.logical_not(inside)][0]
-            raise DegenerateConstraintError(f"{name}={bad} outside (0, {label})")
+        if not 0.0 < value < top:  # NaN included
+            raise DegenerateConstraintError(f"{name}={value} outside (0, {label})")
 
 
 def solve_cabello_constraints(
     state: PureState, theta_x0: float, theta_y0: float
 ) -> tuple[float, float]:
     """Primed angles zeroing q2 and q3 under the canonical phases:
-    tan(theta_x1/2) = tan(beta) cot(theta_y0/2) and symmetrically.
-    Elementwise when the state's beta and the angles are arrays."""
+    tan(theta_x1/2) = tan(beta) cot(theta_y0/2) and symmetrically."""
     _check_open(state.beta, theta_x0, theta_y0)
-    tb = np.tan(state.beta)
-    theta_x1 = 2.0 * np.arctan(tb / np.tan(theta_y0 / 2))
-    theta_y1 = 2.0 * np.arctan(tb / np.tan(theta_x0 / 2))
-    return theta_x1, theta_y1
+    tb = math.tan(state.beta)
+    theta_x1 = 2.0 * math.atan(tb / math.tan(theta_y0 / 2))
+    return theta_x1, 2.0 * math.atan(tb / math.tan(theta_x0 / 2))
 
 
 def canonical_scenario(beta: float, theta_x0: float, theta_y0: float) -> QuantumScenario:
@@ -137,22 +133,16 @@ def canonical_scenario(beta: float, theta_x0: float, theta_y0: float) -> Quantum
     )
 
 
-def q4_minus_q1_closed_form(beta, theta_x0, theta_y0):
-    """Success probability of the completed canonical scenario.
-
-    Elementwise on arrays; a float when every argument is a scalar.
-    """
+def q4_minus_q1_closed_form(beta: float, theta_x0: float, theta_y0: float) -> float:
+    """Success probability of the completed canonical scenario."""
     _check_open(beta, theta_x0, theta_y0)
-    tb = np.tan(beta)
-    tx = np.tan(theta_x0 / 2)
-    ty = np.tan(theta_y0 / 2)
-    q4 = np.sin(beta) ** 2 * (tb - tx * ty) ** 2 / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
-    q1 = (
-        np.cos(beta) * np.cos(theta_x0 / 2) * np.cos(theta_y0 / 2)
-        - np.sin(beta) * np.sin(theta_x0 / 2) * np.sin(theta_y0 / 2)
-    ) ** 2
-    success = q4 - q1
-    return float(success) if np.ndim(success) == 0 else success
+    # products associate as in the batched numpy form, bit for bit
+    tb, tx, ty = math.tan(beta), math.tan(theta_x0 / 2), math.tan(theta_y0 / 2)
+    sin_b, d = math.sin(beta), tb - tx * ty
+    q4 = sin_b * sin_b * (d * d) / ((tx * tx + tb * tb) * (ty * ty + tb * tb))
+    r = (math.cos(beta) * math.cos(theta_x0 / 2) * math.cos(theta_y0 / 2)
+         - sin_b * math.sin(theta_x0 / 2) * math.sin(theta_y0 / 2))
+    return q4 - r * r
 
 
 def tsirelson_scenario() -> QuantumScenario:
@@ -169,7 +159,7 @@ _ANGLE_RULES = {
     "pi/2": lambda beta, tx0: HALF_PI,
     "2*beta": lambda beta, tx0: 2.0 * beta,
     # tan(theta_x0/2) tan(theta_y0/2) = cot(beta) zeroes q1
-    "q1=0": lambda beta, tx0: 2.0 * np.arctan(1.0 / (np.tan(beta) * np.tan(tx0 / 2))),
+    "q1=0": lambda beta, tx0: 2.0 * math.atan(1.0 / (math.tan(beta) * math.tan(tx0 / 2))),
 }
 
 
@@ -194,9 +184,9 @@ class CaseGeometry:
             names.append("theta_y0")
         return tuple(names)
 
-    def params(self, z: np.ndarray) -> tuple:
-        """(beta, theta_x0, theta_y0) from the free values z, one row per
-        free name; rows may be arrays of points."""
+    def params(self, z: Sequence[float]) -> tuple[float, float, float]:
+        """(beta, theta_x0, theta_y0) from the free values z, one per free
+        name."""
         vals = dict(zip(self.free_names, z))
         beta = vals.get("beta", self.beta)
         for name, rule in (("theta_x0", self.theta_x0), ("theta_y0", self.theta_y0)):
@@ -274,15 +264,23 @@ _STATIONARITY = {
 }
 
 
-def _positive_real_roots(coeffs) -> np.ndarray:
-    r = np.roots(coeffs)
-    r = r.real[np.abs(r.imag) <= 1e-9 * np.abs(r)]
-    return r[r > 0]
+def _positive_real_roots(coeffs) -> list[float]:
+    """Positive real roots, in np.roots's order; |imag| <= 1e-9 |root| is real."""
+    return [r.real for r in np.roots(coeffs).tolist()
+            if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0]
 
 
-def _candidates(geom: CaseGeometry) -> np.ndarray:
-    """Points of the free angles of ``geom``, one column each, among which
-    the maximum of q4 - q1 lies.
+def _horner(row, b: float) -> float:
+    """The polynomial ``row`` at b, summed from 0.0 as np.polyval does."""
+    y = 0.0
+    for c in row:
+        y = y * b + c
+    return y
+
+
+def _candidates(geom: CaseGeometry) -> list[tuple[float, ...]]:
+    """Points of the free angles of ``geom``, in the order of its
+    ``free_names``, among which the maximum of q4 - q1 lies.
 
     With beta fixed at pi/4 (cases 1-5, 10, 11) q4 = q1 everywhere, and a
     free theta is set to pi/2; with both thetas fixed (cases 6-9) q4 - q1
@@ -292,37 +290,33 @@ def _candidates(geom: CaseGeometry) -> np.ndarray:
     fixed = [rule for rule in (geom.theta_x0, geom.theta_y0) if rule is not None]
     n_theta = 2 - len(fixed)
     if geom.beta is not None:
-        return np.full((n_theta, 1), HALF_PI)
+        return [(HALF_PI,) * n_theta]
     if not n_theta:
-        return np.array([[math.pi / 4]])
+        return [(math.pi / 4,)]
     p, q, upper = _STATIONARITY[fixed[0] if fixed else None]
-    bs = _positive_real_roots(p)
-    points = [(b, s) for b in bs[bs > 1 if upper else bs < 1]
-              for s in _positive_real_roots([np.polyval(row, b) for row in q])]
-    b, s = np.array(points).T
-    return np.array([np.arctan(b), *[2 * np.arctan(s)] * n_theta])
+    return [(math.atan(b), *(2 * math.atan(s),) * n_theta)
+            for b in _positive_real_roots(p) if (b > 1 if upper else b < 1)
+            for s in _positive_real_roots([_horner(row, b) for row in q])]
 
 
 def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
-    """Maximum of q4 - q1 over the free angles of ``geom``: the best of
-    its ``_candidates`` inside the ANGLE_MARGIN box."""
-    bounds = np.array([
-        _BETA_BOUNDS if name == "beta" else _THETA_BOUNDS for name in geom.free_names
-    ]).reshape(-1, 2, 1)
-    z = _candidates(geom)
-    z = z[:, np.all((bounds[:, 0] <= z) & (z <= bounds[:, 1]), axis=0)]
-    values = np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
-    k = int(np.argmax(values))
+    """Maximum of q4 - q1 over the free angles of ``geom``: the first best
+    of its ``_candidates`` inside the ANGLE_MARGIN box."""
+    bounds = [_BETA_BOUNDS if name == "beta" else _THETA_BOUNDS for name in geom.free_names]
+    points = [z for z in _candidates(geom)
+              if all(lo <= v <= hi for v, (lo, hi) in zip(z, bounds))]
+    values = [q4_minus_q1_closed_form(*geom.params(z)) for z in points]
+    k = values.index(max(values))
     result = SearchResult(
-        value=float(values[k]),
-        point=z[:, k].copy(),
+        value=values[k],
+        point=np.array(points[k], dtype=float),
         starts_used=1,
         converged=True,
         constraint_slacks=(),
         method="algebraic",
-        evaluations=values.size,
+        evaluations=len(values),
     )
-    return result, canonical_scenario(*geom.params(result.point))
+    return result, canonical_scenario(*geom.params(points[k]))
 
 
 def max_cabello_qm(

@@ -10,8 +10,10 @@ its inverse, for the float cells of from_correlators and quantum_box,
 check_magnitudes for validate_box, mutual_information for the enumerated
 RAC of tests/test_ic.py and so for rac_simulate, joint_probability, which
 derives quantum probabilities from Kronecker products of Pauli projectors,
-and quantum_tables, the phase form batched in numpy, for nlbox.quantum's
-scalar quantum_box, and cutting_planes, which solves the IC
+quantum_tables, the phase form batched in numpy, for nlbox.quantum's
+scalar quantum_box, the batched q4_minus_q1_closed_form,
+solve_cabello_constraints and case_params for their scalar forms in
+nlbox.quantum, and cutting_planes, which solves the IC
 maximum by linear programs instead of its closed form.  The seeded simplex
 samplers, the reduced-row-echelon simplex map they draw through,
 zero_variables, coeffs and the enumerations of the 16 local and 8 nonlocal
@@ -26,6 +28,7 @@ import numpy as np
 from nlbox.boxes import Box, local_vertex, nonlocal_vertex
 from nlbox.ic import _entropy
 from nlbox.localrandom import _relation_row, lr_constraints
+from nlbox.quantum import HALF_PI, DegenerateConstraintError
 from nlbox.search import DomainError, SearchResult
 
 
@@ -216,6 +219,67 @@ def quantum_tables(beta, gamma, theta, phi):
     rows[..., 2] = local[..., None, 2:]
     rows[..., 3] = corr
     return from_correlator_rows(rows.reshape(corr.shape[:-2] + (4, 4)))
+
+
+def _check_open(beta, *thetas) -> None:
+    """Raise unless every beta lies in (0, pi/2) and every theta in (0, pi)."""
+    for name, value, top, label in (("beta", beta, HALF_PI, "pi/2"),
+                                    *(("theta", th, math.pi, "pi") for th in thetas)):
+        inside = (0.0 < value) & (value < top)
+        if not np.all(inside):
+            bad = np.asarray(value)[np.logical_not(inside)][0]
+            raise DegenerateConstraintError(f"{name}={bad} outside (0, {label})")
+
+
+def solve_cabello_constraints(state, theta_x0, theta_y0):
+    """Primed angles zeroing q2 and q3 under the canonical phases:
+    tan(theta_x1/2) = tan(beta) cot(theta_y0/2) and symmetrically.
+    Elementwise when the state's beta and the angles are arrays."""
+    _check_open(state.beta, theta_x0, theta_y0)
+    tb = np.tan(state.beta)
+    theta_x1 = 2.0 * np.arctan(tb / np.tan(theta_y0 / 2))
+    theta_y1 = 2.0 * np.arctan(tb / np.tan(theta_x0 / 2))
+    return theta_x1, theta_y1
+
+
+def q4_minus_q1_closed_form(beta, theta_x0, theta_y0):
+    """Success probability of the completed canonical scenario, the batched
+    numpy form of nlbox.quantum.q4_minus_q1_closed_form.
+
+    Elementwise on arrays; a float when every argument is a scalar.
+    """
+    _check_open(beta, theta_x0, theta_y0)
+    tb = np.tan(beta)
+    tx = np.tan(theta_x0 / 2)
+    ty = np.tan(theta_y0 / 2)
+    q4 = np.sin(beta) ** 2 * (tb - tx * ty) ** 2 / ((tx ** 2 + tb ** 2) * (ty ** 2 + tb ** 2))
+    q1 = (
+        np.cos(beta) * np.cos(theta_x0 / 2) * np.cos(theta_y0 / 2)
+        - np.sin(beta) * np.sin(theta_x0 / 2) * np.sin(theta_y0 / 2)
+    ) ** 2
+    success = q4 - q1
+    return float(success) if np.ndim(success) == 0 else success
+
+
+# how a fixed polar angle follows from beta and, for theta_y0, theta_x0
+_ANGLE_RULES = {
+    "pi/2": lambda beta, tx0: HALF_PI,
+    "2*beta": lambda beta, tx0: 2.0 * beta,
+    # tan(theta_x0/2) tan(theta_y0/2) = cot(beta) zeroes q1
+    "q1=0": lambda beta, tx0: 2.0 * np.arctan(1.0 / (np.tan(beta) * np.tan(tx0 / 2))),
+}
+
+
+def case_params(geom, z) -> tuple:
+    """(beta, theta_x0, theta_y0) of the CaseGeometry ``geom`` from the free
+    values z, one row per free name; rows may be arrays of points.  The
+    batched form of ``CaseGeometry.params``."""
+    vals = dict(zip(geom.free_names, z))
+    beta = vals.get("beta", geom.beta)
+    for name, rule in (("theta_x0", geom.theta_x0), ("theta_y0", geom.theta_y0)):
+        if rule is not None:
+            vals[name] = _ANGLE_RULES[rule](beta, vals.get("theta_x0"))
+    return beta, vals["theta_x0"], vals["theta_y0"]
 
 
 # the hand forms above as matrices over c1..c11: rows E_I, E_II, F_I, F_II

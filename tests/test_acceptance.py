@@ -14,7 +14,6 @@ import numpy as np
 import reference
 from reference import coeffs
 from nlbox import boxes
-from nlbox.boxes import chsh_value, marginal, validate_box
 from nlbox.cabello import (
     cabello_box,
     extract_q,

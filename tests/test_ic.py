@@ -242,6 +242,15 @@ class TestMaxUnderIC:
         with pytest.raises(DomainError, match="c6 = 1"):
             max_success_under_ic(equalities=(a, np.zeros(1)))
 
+    @pytest.mark.parametrize("a_shape, b", [((2, 11), [0.0]), ((2, 11), 0.0), ((2, 10), [0.0, 0.0]),
+                                            ((11,), [0.0]), ((1, 11), [[0.0]])])
+    def test_malformed_equalities_raise_naming_both_shapes(self, a_shape, b):
+        # a zero A holds at every point, so only the shapes can fail
+        with pytest.raises(DomainError) as exc:
+            max_success_under_ic(equalities=(np.zeros(a_shape), b))
+        assert str(exc.value) == (f"equalities need A of shape (k, 11) and b of shape (k,), "
+                                  f"not {a_shape} and {np.shape(b)}")
+
     def test_closed_form_witness_bit_for_bit(self):
         result = max_success_under_ic()
         expected = np.zeros(11)

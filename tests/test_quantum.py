@@ -275,6 +275,41 @@ class TestClosedForm:
             direct = extract_q(quantum_box(canonical_scenario(beta, tx0, ty0))).success
             assert abs(q4_minus_q1_closed_form(beta, tx0, ty0) - direct) <= 1e-10
 
+    def test_equals_the_batched_form_bit_for_bit_at_every_witness(self):
+        for geom in GEOMETRIES:
+            args = geom.params(algebraic_maximum(geom).point)
+            assert q4_minus_q1_closed_form(*args) == reference.q4_minus_q1_closed_form(*args)
+            np.testing.assert_array_equal(
+                reference.q4_minus_q1_closed_form(*(np.full(2, a) for a in args)),
+                q4_minus_q1_closed_form(*args))
+
+    def test_agrees_with_the_batched_form_within_4_ulp(self):
+        # numpy's vectorised tan and arctan may round differently from
+        # math.tan and math.atan in the last bit; q4 and q1 are at most 1,
+        # so the ulp is that of 1 (the ulp of q4 - q1 itself vanishes
+        # where the two cancel)
+        rng = np.random.default_rng(23)
+        beta = rng.uniform(ANGLE_MARGIN, HALF_PI - ANGLE_MARGIN, 10_000)
+        tx0, ty0 = rng.uniform(ANGLE_MARGIN, math.pi - ANGLE_MARGIN, (2, 10_000))
+        batched = reference.q4_minus_q1_closed_form(beta, tx0, ty0)
+        scalar = [q4_minus_q1_closed_form(b, x, y)
+                  for b, x, y in zip(beta.tolist(), tx0.tolist(), ty0.tolist())]
+        assert np.abs(batched - scalar).max() <= 4 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (0.5, math.pi, 1.0),
+                                      (0.5, 1.0, -math.inf), (HALF_PI, 1.0, 1.0),
+                                      (0.5, 1.0, math.nan)])
+    def test_degenerate_messages_match_the_batched_form(self, args):
+        for scalar, batched in ((q4_minus_q1_closed_form, reference.q4_minus_q1_closed_form),
+                                (lambda b, x, y: solve_cabello_constraints(PureState(b), x, y),
+                                 lambda b, x, y: reference.solve_cabello_constraints(
+                                     PureState(b), x, y))):
+            with pytest.raises(DegenerateConstraintError) as expected:
+                batched(*args)
+            with pytest.raises(DegenerateConstraintError) as got:
+                scalar(*args)
+            assert str(got.value) == str(expected.value)
+
     def test_free_phase_mode_agrees_with_canonical(self):
         # letting the residual phase freedom vary must not beat the canonical
         # phase choice baked into the closed form
@@ -282,7 +317,7 @@ class TestClosedForm:
             # canonical_scenario(beta, tx0, ty0) with the a0 and b1 phases
             # turned by +delta and -delta, batched
             beta, tx0, ty0, delta = z
-            tx1, ty1 = solve_cabello_constraints(PureState(beta), tx0, ty0)
+            tx1, ty1 = reference.solve_cabello_constraints(PureState(beta), tx0, ty0)
             half_pi = np.full_like(delta, HALF_PI)
             p = reference.quantum_tables(
                 beta, 0.0, np.stack([tx0, tx1, ty0, ty1], -1),
@@ -395,6 +430,30 @@ class TestQuantumMaxima:
         hardy, _ = max_hardy_qm(restarts=3, seed=5)
         assert hardy.value == max_hardy_qm()[0].value
 
+    def test_solve_makes_no_numpy_call_but_roots(self, monkeypatch):
+        def solve_all():
+            results = [max_cabello_qm(cid) for cid in (None, *range(1, 16))]
+            return results + [max_hardy_qm()]
+
+        expected = solve_all()
+
+        class RootsOnly:
+            # np.array builds each result's point once, after the solve
+            allowed = {"roots": np.roots, "array": np.array}
+
+            def __getattr__(self, name):
+                if name not in self.allowed:
+                    raise AssertionError(f"the quantum solve read np.{name}")
+                return self.allowed[name]
+
+        monkeypatch.setattr(nlbox.quantum, "np", RootsOnly())
+        for got, want in zip(solve_all(), expected):
+            assert got[0].value == want[0].value
+            assert got[0].evaluations == want[0].evaluations
+            assert got[0].point.dtype == want[0].point.dtype == np.float64
+            assert got[0].point.tobytes() == want[0].point.tobytes()
+            assert got[1] == want[1]
+
     def test_does_not_import_scipy_optimize(self):
         code = (
             "import contextlib, io, sys, nlbox, nlbox.cli\n"
@@ -435,7 +494,8 @@ def grid_maximum(geom):
     )
 
     def objective(z):
-        return np.broadcast_to(q4_minus_q1_closed_form(*geom.params(z)), z.shape[1:])
+        return np.broadcast_to(reference.q4_minus_q1_closed_form(*reference.case_params(geom, z)),
+                               z.shape[1:])
 
     return maximize(objective, SearchDomain(bounds=bounds))
 
