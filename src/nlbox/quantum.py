@@ -15,6 +15,7 @@ polynomials (``_STATIONARITY``); no grid search runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boxes import Box, MalformedBoxError, _table_box, _correlator_cells
-from .localrandom import case_inputs
+from .localrandom import _check_case, case_inputs
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.quantum.maximize
 from .search import SearchResult, maximize
@@ -173,16 +174,9 @@ class CaseGeometry:
     theta_x0: Optional[str]        # None when free, else a rule: 'pi/2' or '2*beta'
     theta_y0: Optional[str]        # None when free, 'pi/2', '2*beta' or 'q1=0'
 
-    @property
+    @functools.cached_property
     def free_names(self) -> tuple[str, ...]:
-        names = []
-        if self.beta is None:
-            names.append("beta")
-        if self.theta_x0 is None:
-            names.append("theta_x0")
-        if self.theta_y0 is None:
-            names.append("theta_y0")
-        return tuple(names)
+        return tuple(n for n in ("beta", "theta_x0", "theta_y0") if getattr(self, n) is None)
 
     def params(self, z: Sequence[float]) -> tuple[float, float, float]:
         """(beta, theta_x0, theta_y0) from the free values z, one per free
@@ -212,8 +206,13 @@ def case_geometry(case_id: Optional[int]) -> CaseGeometry:
     theta = pi/2 is forced for each locally random input; for the primed
     inputs the zero-condition completions turn that into theta_y0 = 2 beta
     (input 1_A) or theta_x0 = 2 beta (input 1_B).  Conflicting assignments
-    force the maximally entangled beta = pi/4.
+    force the maximally entangled beta = pi/4; one shared copy per case id.
     """
+    return _case_geometry(None if case_id is None else _check_case(case_id))
+
+
+@functools.cache
+def _case_geometry(case_id: Optional[int]) -> CaseGeometry:
     if case_id is None:
         return CaseGeometry(None, None, None, None)
     marks: dict[str, set] = {"theta_x0": set(), "theta_y0": set()}
@@ -248,6 +247,7 @@ _THETA_BOUNDS = (ANGLE_MARGIN, math.pi - ANGLE_MARGIN)
 # that is beta -> pi/2 - beta and theta -> pi - theta, so the maximum has a
 # copy on each side of b = 1: only roots with b > 1 (``upper``) or b < 1
 # are kept, the side of the witnesses that table3 and max have printed.
+# ``_stationary_points`` solves each row once per process.
 _STATIONARITY = {
     None: ((8, -33, 64, -82, 64, -33, 8),
            ((1, 0), (0,), (-1, 0, -1), (0,), (-3, -3, 0, 0), (0,), (-1, 0, -1, 0, 0, 0), (0,),
@@ -278,14 +278,24 @@ def _horner(row, b: float) -> float:
     return y
 
 
+@functools.cache
+def _stationary_points(key: Optional[str]) -> tuple[tuple[float, ...], ...]:
+    """Common roots of ``_STATIONARITY[key]`` as (beta, theta, ...) points,
+    x = y = s if no theta is fixed: paper constants, built on first use."""
+    p, q, upper = _STATIONARITY[key]
+    return tuple((math.atan(b), *(2 * math.atan(s),) * (1 if key else 2))
+                 for b in _positive_real_roots(p) if (b > 1 if upper else b < 1)
+                 for s in _positive_real_roots([_horner(row, b) for row in q]))
+
+
 def _candidates(geom: CaseGeometry) -> list[tuple[float, ...]]:
     """Points of the free angles of ``geom``, in the order of its
     ``free_names``, among which the maximum of q4 - q1 lies.
 
     With beta fixed at pi/4 (cases 1-5, 10, 11) q4 = q1 everywhere, and a
     free theta is set to pi/2; with both thetas fixed (cases 6-9) q4 - q1
-    <= 0, with equality only at beta = pi/4.  Otherwise the points are the
-    common roots of ``_STATIONARITY``.
+    <= 0, with equality only at beta = pi/4.  Otherwise they are the shared
+    ``_stationary_points``, in a fresh list.
     """
     fixed = [rule for rule in (geom.theta_x0, geom.theta_y0) if rule is not None]
     n_theta = 2 - len(fixed)
@@ -293,10 +303,7 @@ def _candidates(geom: CaseGeometry) -> list[tuple[float, ...]]:
         return [(HALF_PI,) * n_theta]
     if not n_theta:
         return [(math.pi / 4,)]
-    p, q, upper = _STATIONARITY[fixed[0] if fixed else None]
-    return [(math.atan(b), *(2 * math.atan(s),) * n_theta)
-            for b in _positive_real_roots(p) if (b > 1 if upper else b < 1)
-            for s in _positive_real_roots([_horner(row, b) for row in q])]
+    return list(_stationary_points(fixed[0] if fixed else None))
 
 
 def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
@@ -305,7 +312,8 @@ def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
     bounds = [_BETA_BOUNDS if name == "beta" else _THETA_BOUNDS for name in geom.free_names]
     points = [z for z in _candidates(geom)
               if all(lo <= v <= hi for v, (lo, hi) in zip(z, bounds))]
-    values = [q4_minus_q1_closed_form(*geom.params(z)) for z in points]
+    params = [geom.params(z) for z in points]
+    values = [q4_minus_q1_closed_form(*a) for a in params]
     k = values.index(max(values))
     result = SearchResult(
         value=values[k],
@@ -316,7 +324,7 @@ def _solve(geom: CaseGeometry) -> tuple[SearchResult, QuantumScenario]:
         method="algebraic",
         evaluations=len(values),
     )
-    return result, canonical_scenario(*geom.params(points[k]))
+    return result, canonical_scenario(*params[k])
 
 
 def max_cabello_qm(

@@ -431,15 +431,13 @@ class TestQuantumMaxima:
         assert hardy.value == max_hardy_qm()[0].value
 
     def test_solve_makes_no_numpy_call_but_roots(self, monkeypatch):
-        def solve_all():
-            results = [max_cabello_qm(cid) for cid in (None, *range(1, 16))]
-            return results + [max_hardy_qm()]
-
         expected = solve_all()
+        roots_calls = []
 
         class RootsOnly:
             # np.array builds each result's point once, after the solve
-            allowed = {"roots": np.roots, "array": np.array}
+            allowed = {"roots": lambda c: roots_calls.append(c) or np.roots(c),
+                       "array": np.array}
 
             def __getattr__(self, name):
                 if name not in self.allowed:
@@ -447,12 +445,15 @@ class TestQuantumMaxima:
                 return self.allowed[name]
 
         monkeypatch.setattr(nlbox.quantum, "np", RootsOnly())
+        # cold caches, so the stationary points are solved under the stub
+        clear_solve_caches()
         for got, want in zip(solve_all(), expected):
             assert got[0].value == want[0].value
             assert got[0].evaluations == want[0].evaluations
             assert got[0].point.dtype == want[0].point.dtype == np.float64
             assert got[0].point.tobytes() == want[0].point.tobytes()
             assert got[1] == want[1]
+        assert roots_calls
 
     def test_does_not_import_scipy_optimize(self):
         code = (
@@ -482,6 +483,79 @@ class TestQuantumMaxima:
 
         for tx0 in (0.5, 1.0, 2.0):
             assert hardy_q4(math.pi / 4 - 1e-7, tx0) <= 1e-6
+
+
+def solve_all(order=(None, *range(1, 16), "hardy")):
+    """(result, witness) of the 17 solves, in ``order``, listed by solve."""
+    solved = {cid: (max_hardy_qm() if cid == "hardy" else max_cabello_qm(cid)[:2])
+              for cid in order}
+    return [solved[cid] for cid in (None, *range(1, 16), "hardy")]
+
+
+def clear_solve_caches():
+    nlbox.quantum._stationary_points.cache_clear()
+    nlbox.quantum._case_geometry.cache_clear()
+
+
+def solve_fingerprint(solves):
+    return [(r.value, r.point.tobytes(), r.evaluations, r.method, scen) for r, scen in solves]
+
+
+class TestSolveCaches:
+    """Stationary points and case geometries are built once per process."""
+
+    def test_order_and_warmth_do_not_change_any_solve(self):
+        clear_solve_caches()
+        forward = solve_fingerprint(solve_all())
+        clear_solve_caches()
+        backward = solve_fingerprint(solve_all(("hardy", *range(15, 0, -1), None)))
+        warm = solve_fingerprint(solve_all())
+        assert forward == backward == warm
+        assert len(forward) == 17
+
+    def test_each_polynomial_is_solved_once(self, monkeypatch):
+        calls = []
+        roots = nlbox.quantum._positive_real_roots
+        monkeypatch.setattr(nlbox.quantum, "_positive_real_roots",
+                            lambda coeffs: calls.append(coeffs) or roots(coeffs))
+        clear_solve_caches()
+        solve_all()
+        assert calls
+        calls.clear()
+        solve_all()
+        assert calls == []
+        for first, mirror in ((12, 14), (13, 15)):
+            clear_solve_caches()
+            max_cabello_qm(first)
+            assert calls
+            calls.clear()
+            max_cabello_qm(mirror)
+            assert calls == []
+
+    def test_candidate_lists_are_fresh(self):
+        geom = case_geometry(12)
+        want = max_cabello_qm(12)[0]
+        candidates = nlbox.quantum._candidates(geom)
+        assert candidates is not nlbox.quantum._candidates(geom)
+        candidates[:] = [(1.0, 1.0)] * 3
+        got = max_cabello_qm(12)[0]
+        assert (got.value, got.point.tobytes(), got.evaluations) == (
+            want.value, want.point.tobytes(), want.evaluations)
+
+    @pytest.mark.parametrize("first", ["numpy", "int"])
+    def test_geometries_are_keyed_by_the_checked_case_id(self, first):
+        clear_solve_caches()
+        ids = [np.int64(12), 12] if first == "numpy" else [12, np.int64(12)]
+        a, b = (case_geometry(cid) for cid in ids)
+        assert a is b
+        assert type(a.case_id) is int and a.case_id == 12
+        assert case_geometry(None) is case_geometry(None)
+
+    @pytest.mark.parametrize("bad", [0, True, 1.0, [1]], ids=repr)
+    def test_invalid_case_ids_raise_as_before(self, bad):
+        with pytest.raises(ValueError) as err:
+            case_geometry(bad)
+        assert str(err.value) == f"case id must be 1..15, got {bad}"
 
 
 def grid_maximum(geom):
