@@ -148,7 +148,10 @@ class Box:
 
     @classmethod
     def from_json(cls, text: str) -> "Box":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise MalformedBoxError("JSON nested too deeply") from None
         if not isinstance(data, dict) or "p" not in data:
             raise MalformedBoxError('expected a JSON object with key "p"')
         return cls(data["p"])

@@ -52,7 +52,10 @@ def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
 
 def coefficients_from_json(text: str) -> np.ndarray:
     """Parse {"c": [...]} with 6 (Hardy) or 11 (Cabello) entries."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise CoefficientError("JSON nested too deeply") from None
     if not isinstance(data, dict) or "c" not in data:
         raise CoefficientError('expected a JSON object with key "c"')
     return cabello_coefficients(data["c"])

@@ -39,11 +39,12 @@ def seed_value(text: str) -> int:
 
 
 def _emit(args, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load_box(args) -> Box:

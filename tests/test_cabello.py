@@ -1,11 +1,10 @@
 """Hardy/Cabello box families, closed-form matrix and NS maximum."""
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from fresh_imports import solve_imports
 import reference
 from reference import coeffs
 from nlbox import boxes
@@ -227,13 +226,7 @@ class TestNsMax:
             ns_max_success("chsh")
 
     def test_does_not_import_scipy_optimize(self):
-        code = (
-            "import sys, nlbox; nlbox.ns_max_success('hardy'); "
-            "nlbox.ns_max_success('cabello'); print('scipy.optimize' in sys.modules)"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert solve_imports()["ns"] == ([], False, False)
 
 
 class TestCoefficientJson:

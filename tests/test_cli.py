@@ -6,25 +6,15 @@ import os
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import numpy as np
 import pytest
 
 import nlbox.cli
 import nlbox.localrandom
+from cli_harness import run_cli
 from nlbox.boxes import Box, pr_box
 from nlbox.cabello import hardy_box
-
-
-def run_cli(*args, stdin=None, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "nlbox.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-        env=env,
-    )
 
 
 class TestVertex:
@@ -114,20 +104,18 @@ class TestOverflowingTable:
 
     @pytest.mark.parametrize("argv, code", [(["validate"], 1), (["rac", "--box"], 2),
                                             (["ic", "--box"], 2)])
-    def test_stderr_is_exact(self, tmp_path, capsys, argv, code):
+    def test_stderr_is_exact(self, tmp_path, argv, code):
         path = tmp_path / "box.json"
         path.write_text(json.dumps({"p": self.TABLE}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy warning would raise here
-            assert nlbox.cli.main([*argv, str(path)]) == code
-        out = capsys.readouterr()
+        proc = run_cli(*argv, str(path))
+        assert proc.returncode == code
         if argv == ["validate"]:
-            assert out.err == ""
-            report = json.loads(out.out)
+            assert proc.stderr == ""
+            report = json.loads(proc.stdout)
             assert [f"{v['kind']} at {v['location']}" for v in report["violations"]] == \
                 self.REPORT.split("; ")
         else:
-            assert out.out == "" and out.err == f"error: {self.REPORT}\n"
+            assert proc.stdout == "" and proc.stderr == f"error: {self.REPORT}\n"
 
 
 class TestUnreadFlags:
@@ -163,6 +151,20 @@ class TestNonNumericInput:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
         proc = run_cli(*args, str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+class TestDeeplyNestedJson:
+    DEEP = "[" * 100000  # past json's recursion limit
+
+    @pytest.mark.parametrize("args", [
+        "validate -", "ic --box -", "rac --box -", "cabello --coeffs FILE", "ic --coeffs FILE",
+    ])
+    def test_is_usage_error(self, tmp_path, args):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        proc = run_cli(*args.replace("FILE", str(path)).split(), stdin=self.DEEP)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
@@ -212,26 +214,25 @@ class TestCoefficientCommands:
         assert inline.stderr == from_file.stderr
         assert inline.stderr.count("\n") == 1 and inline.stderr.startswith("error: ")
 
-    def test_weights_whose_sum_overflows_are_a_usage_error(self, capsys):
-        # in-process, with warnings as errors: no traceback and no numpy warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert nlbox.cli.main(["cabello", "--coeffs", "1e308,1e308" + ",0" * 9]) == 2
-        assert capsys.readouterr().err == "error: coefficients sum to inf, not 1\n"
+    def test_weights_whose_sum_overflows_are_a_usage_error(self):
+        proc = run_cli("cabello", "--coeffs", "1e308,1e308" + ",0" * 9)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: coefficients sum to inf, not 1\n"
 
     @pytest.mark.parametrize("command", ["cabello", "ic"])
-    def test_tol_applies_to_the_coefficients(self, tmp_path, capsys, command):
+    def test_tol_applies_to_the_coefficients(self, tmp_path, command):
         # c6 = 1.0001: off the simplex at the default tol, on it at 1e-3,
         # inline and from a file alike
         inline = "0,0,0,0,0,1.0001,0,0,0,0,0"
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"c": [float(v) for v in inline.split(",")]}))
         for spec in (inline, str(path)):
-            assert nlbox.cli.main([command, "--coeffs", spec]) == 2
-            assert capsys.readouterr().err == "error: coefficients sum to 1.0001, not 1\n"
-            assert nlbox.cli.main([command, "--coeffs", spec, "--tol", "1e-3"]) == 0
-            out = capsys.readouterr()
-            assert out.err == "" and json.loads(out.out)
+            proc = run_cli(command, "--coeffs", spec)
+            assert proc.returncode == 2
+            assert proc.stderr == "error: coefficients sum to 1.0001, not 1\n"
+            proc = run_cli(command, "--coeffs", spec, "--tol", "1e-3")
+            assert proc.returncode == 0
+            assert proc.stderr == "" and json.loads(proc.stdout)
 
     def test_ic_roundtrip_through_box_parser(self):
         box_json = run_cli("vertex", "nonlocal", "0", "0", "0").stdout
@@ -267,7 +268,7 @@ class TestTables:
         case2 = [l for l in proc.stdout.splitlines() if l.startswith("2,")]
         assert any("0.0800,0.4000" in l for l in case2)
 
-    def test_table2_fails_on_a_fixture_row_off_its_system(self, monkeypatch, capsys):
+    def test_table2_fails_on_a_fixture_row_off_its_system(self, monkeypatch):
         verify = nlbox.localrandom.verify_table2
 
         def one_row_off():
@@ -276,11 +277,11 @@ class TestTables:
             return checks
 
         monkeypatch.setattr(nlbox.localrandom, "verify_table2", one_row_off)
-        assert nlbox.cli.main(["table2", "--format", "csv"]) == 1
+        proc = run_cli("table2", "--format", "csv")
+        assert proc.returncode == 1
         case = verify()[3].row.case_id
-        out = capsys.readouterr()
-        assert out.err == f"case {case}: fixture row is off its system\n"
-        assert f"{case}," in out.out and ",True,False" in out.out
+        assert proc.stderr == f"case {case}: fixture row is off its system\n"
+        assert f"{case}," in proc.stdout and ",True,False" in proc.stdout
 
     def test_table3_case_12(self):
         proc = run_cli("table3", "--restarts", "16", "--format", "csv")
@@ -289,9 +290,10 @@ class TestTables:
         value = float(row12.split(",")[7])
         assert abs(value - 0.0990) <= 1e-3
 
-    def test_table3_rows_report_their_method(self, capsys):
-        assert nlbox.cli.main(["table3"]) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_table3_rows_report_their_method(self):
+        proc = run_cli("table3")
+        assert proc.returncode == 0
+        rows = json.loads(proc.stdout)
         assert [row["case"] for row in rows] == list(range(1, 16))
         assert {row["method"] for row in rows} == {"algebraic"}
 
@@ -335,6 +337,42 @@ class TestMax:
         payload = json.loads(proc.stdout)
         assert payload["witness"] is not None
         assert max(payload["witness_lhs"]) <= 1.0
+
+
+class TestOut:
+    @pytest.mark.parametrize("args", [
+        "validate -", "vertex local 0 1 1 0 --format csv", "table1 --format csv",
+        "table2", "table3", "max --model ic",
+    ])
+    def test_file_holds_the_stdout_bytes(self, tmp_path, args):
+        # validate reads a box off the simplex from stdin, so exits 1
+        path = tmp_path / "out.txt"
+        printed = run_cli(*args.split(), stdin=TestTolerance.BAD)
+        written = run_cli(*args.split(), "--out", str(path), stdin=TestTolerance.BAD)
+        assert written.returncode == printed.returncode
+        assert written.stdout == "" and written.stderr == printed.stderr
+        assert path.read_bytes() == printed.stdout.encode()
+
+    def test_missing_directory_is_usage_error(self, tmp_path):
+        proc = run_cli("table1", "--out", str(tmp_path / "missing" / "out.json"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("args, stdin, code", [
+        (("max", "--model", "qm"), "", 0),
+        (("validate", "-"), '{"p": [1, 2', 2),
+    ], ids=["max-qm", "validate-malformed-json"])
+    def test_python_m_matches_the_in_process_run(self, args, stdin, code):
+        # the one real `python -m nlbox.cli`: it pins the entry point and that
+        # run_cli gives a process's exit code, stdout and stderr
+        proc = subprocess.run([sys.executable, "-m", "nlbox.cli", *args],
+                              capture_output=True, text=True, input=stdin)
+        in_process = run_cli(*args, stdin=stdin)
+        assert proc.returncode == in_process.returncode == code
+        assert proc.stdout == in_process.stdout
+        assert proc.stderr == in_process.stderr
 
 
 class TestScipyFreeRuntime:

@@ -1,14 +1,12 @@
 """Information Causality conditions, coefficient quadratics and the RAC."""
 import dataclasses
 import pickle
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from fresh_imports import solve_imports
 import reference
 from reference import coeffs
 from nlbox import boxes
@@ -198,20 +196,7 @@ class TestMaxUnderIC:
             assert abs(result.upper_bound - closed.upper_bound) <= 1e-12
 
     def test_ic_path_does_not_import_scipy_optimize(self):
-        code = textwrap.dedent("""
-            import contextlib, io, sys
-            import nlbox.cli
-            from nlbox import lr_cases, lr_constraints, max_success_under_ic
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert nlbox.cli.main(["max", "--model", "ic"]) == 0
-            for cid in lr_cases():
-                system = lr_constraints(cid)
-                max_success_under_ic(equalities=(system.a, system.b))
-            print('scipy.optimize' in sys.modules)
-        """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert solve_imports()["ic"] == ([0], False, False)
 
     def test_inconsistent_equalities_raise(self):
         a = np.zeros((2, 11))

@@ -1,13 +1,11 @@
 """Local randomness, the 15 case constraint systems and the table fixture."""
-import contextlib
-import io
-
 import numpy as np
 import pytest
 
 import reference
 from reference import coeffs
-from nlbox import boxes, cli, localrandom
+from cli_harness import run_cli
+from nlbox import boxes, localrandom
 from nlbox.boxes import marginal
 from nlbox.cabello import CABELLO_VERTICES, cabello_box
 from nlbox.ic import ic_cabello_lhs, max_success_under_ic
@@ -288,12 +286,8 @@ class TestSharedConstants:
         commands += [["lr-case", str(cid)] for cid in lr_cases()]
 
         def run_all():
-            out = []
-            for argv in commands:
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    out.append((cli.main(argv), buf.getvalue()))
-            return out
+            return [(p.returncode, p.stdout, p.stderr) for p in
+                    (run_cli(*argv) for argv in commands)]
 
         warm = run_all()
 
@@ -302,4 +296,4 @@ class TestSharedConstants:
 
         monkeypatch.setattr(localrandom, "_relation_row", fail)
         assert run_all() == warm
-        assert all(rc == 0 for rc, _ in warm)
+        assert all(rc == 0 and err == "" for rc, _, err in warm)

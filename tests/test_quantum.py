@@ -1,14 +1,13 @@
 """Two-qubit pure-state model, constraint solving and quantum maxima."""
 import dataclasses
 import math
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from fresh_imports import solve_imports
 import reference
 import nlbox.quantum
 from nlbox.boxes import MalformedBoxError, chsh_value, marginal, validate_box
@@ -456,17 +455,7 @@ class TestQuantumMaxima:
         assert roots_calls
 
     def test_does_not_import_scipy_optimize(self):
-        code = (
-            "import contextlib, io, sys, nlbox, nlbox.cli\n"
-            "nlbox.max_cabello_qm(); nlbox.max_hardy_qm()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for argv in (['table3'], ['max', '--model', 'qm'], ['max', '--model', 'qm-hardy']):\n"
-            "        assert nlbox.cli.main(argv) == 0\n"
-            "print('scipy.optimize' in sys.modules, 'sympy' in sys.modules)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert solve_imports()["qm"] == ([0, 0, 0], False, False)
 
     def test_hardy_maximum(self):
         result, scen = max_hardy_qm()
