@@ -14,7 +14,22 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-import numpy as np
+
+class _LazyNumpy:
+    """numpy, imported on first use: a module binds ``np = _LazyNumpy(globals())``,
+    and the first attribute read imports numpy and rebinds that module's ``np``
+    to it, so ``import nlbox`` loads no numpy and later calls pay nothing."""
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 DEFAULT_TOL = 1e-9
 
@@ -55,6 +70,21 @@ class CoefficientError(ValueError):
     """Weights off the probability simplex."""
 
 
+class _LazyTable:
+    """``Box.p``: the read-only 4x4 array of the cells, built on first read and
+    kept in the box's ``__dict__``, where later reads find it, as
+    ``functools.cached_property`` does."""
+
+    def __get__(self, box, owner=None):
+        if box is None:
+            return self
+        p = np.array(box._cells)
+        p.shape = (4, 4)
+        p.setflags(write=False)
+        box.__dict__["p"] = p
+        return p
+
+
 @dataclass(frozen=True, init=False)
 class Box:
     """Immutable 4x4 joint-distribution table P(ab|XY).
@@ -65,11 +95,13 @@ class Box:
     The readers below do scalar arithmetic on these only.  ``stats`` and the
     24 magnitudes, in ``validate_box``'s report order, are built from those
     floats when read or when ``validate_box`` has a violation to report.
-    The table is a read-only copy, so none of this goes stale, and none of
-    it depends on a tolerance.
+    ``p``, the table as a read-only array, is the one the caller's table
+    was copied into, or else is built from the cells when first read.  The
+    cells are never changed, so none of this goes stale, and none of it
+    depends on a tolerance.
     """
 
-    p: np.ndarray
+    p: np.ndarray = _LazyTable()
 
     def __init__(self, p):
         try:
@@ -78,12 +110,12 @@ class Box:
             raise MalformedBoxError(f"probability table must be numbers: {exc}") from None
         if arr.shape != (4, 4):
             raise MalformedBoxError(f"expected a 4x4 table, got shape {arr.shape}")
-        self._read(arr)
-
-    def _read(self, arr: np.ndarray) -> "Box":
-        """Construction on a 4x4 float table that no caller holds; returns self."""
         arr.setflags(write=False)
-        cells = arr.ravel().tolist()
+        self._read(arr.ravel().tolist(), arr)
+
+    def _read(self, cells: list[float], p=None) -> "Box":
+        """Construction on 16 raveled float cells that no caller holds and,
+        if there is one, their read-only 4x4 table; returns self."""
         s = _row_stats(cells)
         # a non-finite cell makes the row totals' sum non-finite; finite cells
         # do so only by overflow, and their box is invalid, not malformed
@@ -98,7 +130,9 @@ class Box:
         worst = max(-min(cells), abs(s[0] - 1.0), abs(s[4] - 1.0), abs(s[8] - 1.0),
                     abs(s[12] - 1.0), abs(m[0] - m[1]), abs(m[2] - m[3]),
                     abs(m[4] - m[5]), abs(m[6] - m[7]))
-        self.__dict__.update(p=arr, _cells=cells, _stats=s, _pairs=m, worst_check=worst)
+        self.__dict__.update(_cells=cells, _stats=s, _pairs=m, worst_check=worst)
+        if p is not None:
+            self.__dict__["p"] = p
         return self
 
     @property
@@ -133,18 +167,23 @@ class Box:
             raise ValueError(f"unknown outcomes {a!r}, {b!r} or inputs {x!r}, {y!r}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Box) and np.array_equal(self.p, other.p)
+        # the cells are finite, as construction checks, so list == is array ==
+        return isinstance(other, Box) and self._cells == other._cells
 
     def __hash__(self) -> int:
-        return hash((self.p + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, as == does
+        return hash(tuple(self._cells))  # -0.0 and 0.0 hash alike, as == has them equal
+
+    def _rows(self) -> list[list[float]]:
+        c = self._cells
+        return [c[0:4], c[4:8], c[8:12], c[12:16]]
 
     def __reduce__(self):
         # copies and unpickled boxes go through __init__, so that their
-        # table is read-only too and the derived data cannot go stale
-        return Box, (self.p,)
+        # derived data is built afresh and cannot go stale
+        return Box, (self._rows(),)
 
     def to_json(self) -> str:
-        return json.dumps({"p": self.p.tolist()})
+        return json.dumps({"p": self._rows()})
 
     @classmethod
     def from_json(cls, text: str) -> "Box":
@@ -161,7 +200,7 @@ class Box:
         buf.write("XY,ab,prob\n")
         for (x, y), row in ROW_OF.items():
             for (a, b), col in ROW_OF.items():
-                buf.write(f"{x}{y},{a}{b},{float(self.p[row, col])!r}\n")
+                buf.write(f"{x}{y},{a}{b},{self._cells[4 * row + col]!r}\n")
         return buf.getvalue()
 
 
@@ -200,17 +239,14 @@ def _correlator_cells(quarters) -> list[float]:
 
 
 def _table_box(cells) -> Box:
-    """The Box of 16 raveled float cells, a list or a fresh array that no
-    caller holds, such as a mixture's weights (n,) times raveled tables (n, 16)."""
-    p = np.asarray(cells, dtype=float)
-    p.shape = (4, 4)  # in place: a reshaped view would keep a second array object
-    return object.__new__(Box)._read(p)
-
-
-def _marginals(stats: np.ndarray) -> np.ndarray:
-    """P(outcome 0) from row stats, indexed [party A/B, input, remote input]."""
-    grid = stats.reshape(2, 2, 4)  # [X, Y, stat], as row XY = 2X + Y
-    return np.array([grid[..., 1], grid[..., 2].T])
+    """The Box of 16 raveled float cells that no caller holds: a list, whose
+    table is built when read, or a float array, such as a mixture's weights
+    (n,) times raveled tables (n, 16), which becomes the table."""
+    if isinstance(cells, list):
+        return object.__new__(Box)._read(cells)
+    cells.shape = (4, 4)  # in place: a reshaped view would keep a second array object
+    cells.setflags(write=False)
+    return object.__new__(Box)._read(cells.ravel().tolist(), cells)
 
 
 # (kind, location) of the checks of validate_box in report order: each input
@@ -222,10 +258,11 @@ _CHECKS = [
 ] + [("no-signaling", f"party {party}, input {inp}") for inp in (0, 1) for party in "AB"]
 
 # Gathers the marginal pairs from the 16 raveled row stats, in the order
-# [input][party A/B][remote input] of the no-signaling checks: _marginals
-# applied to the stats' own indices, so its formula exists only once.
-_MARGINAL_PAIRS = itemgetter(
-    *_marginals(np.arange(16).reshape(4, 4)).transpose(1, 0, 2).ravel().tolist())
+# [input][party A/B][remote input] of the no-signaling checks: P(a=0|XY) is
+# stat 1 and P(b=0|XY) stat 2 of row XY = 2X + Y, and a party's remote input
+# is the other party's.
+_MARGINAL_PAIRS = itemgetter(*(4 * (2 * x + r) + 1 if party == "A" else 4 * (2 * r + x) + 2
+                               for x in (0, 1) for party in "AB" for r in (0, 1)))
 
 
 def _check_tol(tol: float) -> None:
@@ -311,23 +348,23 @@ def from_correlators(corr: CorrelatorForm, tol: float = DEFAULT_TOL) -> Box:
 
 def local_vertex(alpha: int, beta: int, gamma: int, delta: int) -> Box:
     """Deterministic vertex: a = alpha*X xor beta, b = gamma*Y xor delta."""
-    p = np.zeros((4, 4))
+    cells = [0.0] * 16
     for (x, y), row in ROW_OF.items():
         a = (alpha & x) ^ beta
         b = (gamma & y) ^ delta
-        p[row, ROW_OF[(a, b)]] = 1.0
-    return Box(p)
+        cells[4 * row + ROW_OF[(a, b)]] = 1.0
+    return _table_box(cells)
 
 
 def nonlocal_vertex(alpha: int, beta: int, gamma: int) -> Box:
     """PR-type vertex: a xor b = X*Y xor alpha*X xor beta*Y xor gamma."""
-    p = np.zeros((4, 4))
+    cells = [0.0] * 16
     for (x, y), row in ROW_OF.items():
         parity = (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma
         for (a, b), col in ROW_OF.items():
             if (a ^ b) == parity:
-                p[row, col] = 0.5
-    return Box(p)
+                cells[4 * row + col] = 0.5
+    return _table_box(cells)
 
 
 def pr_box() -> Box:
@@ -335,7 +372,7 @@ def pr_box() -> Box:
 
 
 def uniform_box() -> Box:
-    return Box(np.full((4, 4), 0.25))
+    return _table_box([0.25] * 16)
 
 
 def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL) -> Box:
@@ -344,7 +381,7 @@ def mix(boxes: Sequence[Box], weights: Iterable[float], tol: float = DEFAULT_TOL
     if len(boxes) != len(w):
         raise ValueError(f"{len(boxes)} boxes but {len(w)} weights")
     w = check_coefficients(w, len(w), tol)
-    return _table_box(np.dot(w, np.array([box.p for box in boxes]).reshape(len(w), 16)))
+    return _table_box(np.dot(w, np.array([box._cells for box in boxes])))
 
 
 def chsh_value(box: Box, x: int, y: int, tol: float = DEFAULT_TOL) -> float:

@@ -5,22 +5,23 @@ q1 = P(00|00), q2 = P(11|01), q3 = P(11|10), q4 = P(11|11); the argument
 runs when q2 = q3 = 0 and q4 > q1.  Hardy boxes mix five local vertices
 with the nonlocal vertex (0,0,1); Cabello boxes add four more local
 vertices and the nonlocal vertex (1,1,0), with weights c1..c11 on the
-simplex.  A mixture's table is c @ _VERTEX_STACK, so every linear form of
+simplex.  A mixture's table is c @ _vertex_stack(), so every linear form of
 the table, q4 - q1 among them, is the form's value at each vertex dotted with c.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import boxes
-from .boxes import Box, CoefficientError, DEFAULT_TOL, _as_coefficients, check_coefficients
+from .boxes import (
+    Box, CoefficientError, DEFAULT_TOL, _LazyNumpy, _as_coefficients, check_coefficients)
 # bound only so that perfbench/tracing.py can patch nlbox.cabello.maximize
 from .search import maximize
 
+np = _LazyNumpy(globals())
 
 # vertex order matches the coefficient order c1..c11
 HARDY_VERTICES = (
@@ -38,10 +39,26 @@ CABELLO_VERTICES = HARDY_VERTICES + (
     boxes.local_vertex(1, 0, 1, 0),
     boxes.nonlocal_vertex(1, 1, 0),
 )
-# the raveled vertex tables, one per row: the Hardy vertices are the first
-# six, and a mixture is its weights times this stack, as in boxes.mix
-_VERTEX_STACK = np.array([v.p.ravel() for v in CABELLO_VERTICES])
-_SUCCESS = _VERTEX_STACK[:, 15] - _VERTEX_STACK[:, 0]  # q4 - q1 = P(11|11) - P(00|00)
+# q4 - q1 = P(11|11) - P(00|00) at each vertex, in the order c1..c11
+_VERTEX_SUCCESS = tuple(v._cells[15] - v._cells[0] for v in CABELLO_VERTICES)
+
+
+@functools.cache
+def _vertex_stack() -> np.ndarray:
+    """The raveled vertex tables, one per row, read-only and built on first
+    use: the Hardy vertices are the first six, and a mixture is its weights
+    times this stack, as in boxes.mix."""
+    stack = np.array([v._cells for v in CABELLO_VERTICES])
+    stack.setflags(write=False)
+    return stack
+
+
+@functools.cache
+def _success() -> np.ndarray:
+    """``_VERTEX_SUCCESS`` as a read-only array, built on first use."""
+    success = np.array(_VERTEX_SUCCESS)
+    success.setflags(write=False)
+    return success
 
 
 def cabello_coefficients(c: Sequence[float]) -> np.ndarray:
@@ -79,12 +96,12 @@ class SuccessMetrics:
 
 def hardy_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the six Hardy vertices with weights c1..c6."""
-    return boxes._table_box(np.dot(check_coefficients(c, 6, tol), _VERTEX_STACK[:6]))
+    return boxes._table_box(np.dot(check_coefficients(c, 6, tol), _vertex_stack()[:6]))
 
 
 def cabello_box(c: Sequence[float], tol: float = DEFAULT_TOL) -> Box:
     """Mixture of the eleven Cabello vertices with weights c1..c11."""
-    return boxes._table_box(np.dot(check_coefficients(c, 11, tol), _VERTEX_STACK))
+    return boxes._table_box(np.dot(check_coefficients(c, 11, tol), _vertex_stack()))
 
 
 # perfbench/workloads.py still calls the Cabello table by this name
@@ -99,7 +116,7 @@ def extract_q(box: Box) -> SuccessMetrics:
 
 def success_closed_form(c: Sequence[float]) -> float:
     """q4 - q1 of the Cabello mixture with weights c1..c11."""
-    return float(_SUCCESS @ c)
+    return float(_success() @ c)
 
 
 def check_cabello_conditions(
@@ -113,19 +130,19 @@ def check_cabello_conditions(
 
 def ns_max_success(
     argument: str = "cabello", restarts: int = 8, seed: int = 0
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, tuple[float, ...]]:
     """No-signaling maximum of the success probability with its witness.
 
-    q4 - q1 = _SUCCESS @ c is linear on the coefficient simplex, so the
+    q4 - q1 = _success() @ c is linear on the coefficient simplex, so the
     maximum is the best of its 6 (Hardy) or 11 (Cabello) vertices: 0.5, at
-    c6 = 1, for both arguments (the Hardy vertices are the first six).
-    ``restarts`` and ``seed`` have no effect; they are accepted so that
-    existing callers keep working.
+    c6 = 1, for both arguments (the Hardy vertices are the first six).  The
+    vertex values are the exact cell differences ``_VERTEX_SUCCESS``, so no
+    array is built, and the witness is that vertex's weights as a tuple of
+    6 or 11 floats.  ``restarts`` and ``seed`` have no effect; they are
+    accepted so that existing callers keep working.
     """
     if argument not in ("hardy", "cabello"):
         raise ValueError(f"unknown argument {argument!r}")
     dim = 6 if argument == "hardy" else 11
-    best = int(np.argmax(_SUCCESS[:dim]))
-    witness = np.zeros(dim)
-    witness[best] = 1.0
-    return float(_SUCCESS[best]), witness
+    best = max(range(dim), key=_VERTEX_SUCCESS.__getitem__)  # the first best, as argmax
+    return _VERTEX_SUCCESS[best], tuple(float(k == best) for k in range(dim))

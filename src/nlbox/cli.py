@@ -14,8 +14,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import boxes, cabello, ic, localrandom as lr, quantum
 from .boxes import Box
 
@@ -54,7 +52,9 @@ def _load_box(args) -> Box:
         return Box.from_json(fh.read())
 
 
-def _load_coeffs(spec: str) -> np.ndarray:
+def _load_coeffs(spec: str):
+    """The unchecked c1..c11 of a JSON file or an inline list, as
+    cabello.cabello_coefficients gives them."""
     if os.path.exists(spec):
         with open(spec) as fh:
             return cabello.coefficients_from_json(fh.read())
@@ -240,7 +240,7 @@ def cmd_max(args) -> int:
     if args.model == "ns":
         value, witness = cabello.ns_max_success()
         payload = {"model": "ns", "method": "vertex", "value": value,
-                   "witness": witness.tolist()}
+                   "witness": list(witness)}
     elif args.model == "ic":
         res = ic.max_success_under_ic()
         payload = {

@@ -7,17 +7,18 @@ with the vertex boxes' biases as coefficients, so both are quadratics in c.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .boxes import Box, DEFAULT_TOL, require_valid
+from .boxes import Box, DEFAULT_TOL, _LazyNumpy, require_valid
 from .cabello import CABELLO_VERTICES, check_coefficients, success_closed_form
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.ic.maximize
 from .search import DomainError, SearchResult, maximize
+
+np = _LazyNumpy(globals())
 
 
 # The three records below are frozen dataclasses built as Box is: one
@@ -106,11 +107,16 @@ def ic_ba_satisfied(box: Box, tol: float = DEFAULT_TOL) -> ICCheck:
     return ICCheck(lhs, lhs <= 1.0 + tol)
 
 
-# Rows E_I, E_II, F_I, F_II of the biases at the eleven vertices: the biases
-# of the Cabello box with weights c are _BIASES @ c, and the IC conditions
-# are |M @ c| <= 1 for M the first and the last two rows.
-_BIASES = np.array([[q.e_i, q.e_ii, q.f_i, q.f_ii]
-                    for q in map(ic_quantities, CABELLO_VERTICES)]).T
+@functools.cache
+def _biases() -> np.ndarray:
+    """Rows E_I, E_II, F_I, F_II of the biases at the eleven vertices, read-only
+    and built on first use: the biases of the Cabello box with weights c are
+    _biases() @ c, and the IC conditions are |M @ c| <= 1 for M the first and
+    the last two rows."""
+    biases = np.array([[q.e_i, q.e_ii, q.f_i, q.f_ii]
+                       for q in map(ic_quantities, CABELLO_VERTICES)]).T
+    biases.setflags(write=False)
+    return biases
 
 
 def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -119,14 +125,22 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
     The first equals E_I^2 + E_II^2 and the second F_I^2 + F_II^2 of the
     corresponding Cabello box.
     """
-    e_i, e_ii, f_i, f_ii = (_BIASES @ check_coefficients(c, 11, tol)).tolist()
+    e_i, e_ii, f_i, f_ii = (_biases() @ check_coefficients(c, 11, tol)).tolist()
     return e_i ** 2 + e_ii ** 2, f_i ** 2 + f_ii ** 2
 
 
-_C6, _C11 = np.eye(11)[[5, 10]]
-# the maximizer c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2); built this way both
-# of its slacks round to +2.2e-16, not below 0
-_IC_WITNESS = _C11 + (_C6 - _C11) / math.sqrt(2.0)
+@functools.cache
+def _ic_points() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices c6 = 1 and c11 = 1 and the maximizer c6 = 1/sqrt(2),
+    c11 = 1 - 1/sqrt(2) between them, read-only and built on first use;
+    built this way both of the maximizer's slacks round to +2.2e-16, not below 0."""
+    c6, c11 = np.eye(11)[[5, 10]]
+    points = c6, c11, c11 + (c6 - c11) / math.sqrt(2.0)
+    for point in points:
+        point.setflags(write=False)
+    return points
+
+
 _IC_BOUND = (math.sqrt(2.0) - 1.0) / 2.0
 
 
@@ -139,7 +153,7 @@ def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> 
     the optional affine ``equalities`` (A, b).
 
     On the simplex q4 - q1 = -1/2 - (E_I + E_II + F_I + F_II)/4 exactly
-    (``cabello._SUCCESS == -0.5 - 0.25 * _BIASES.sum(0)``), and IC's discs
+    (``cabello._success() == -0.5 - 0.25 * _biases().sum(0)``), and IC's discs
     E_I^2 + E_II^2 <= 1 and F_I^2 + F_II^2 <= 1 give E_I + E_II >= -sqrt(2)
     and F_I + F_II >= -sqrt(2), so q4 - q1 <= (sqrt(2)-1)/2 = ``_IC_BOUND``.
     The dual certificate is mu = -1/2 on the simplex row, lambda = sqrt(2)/4
@@ -159,10 +173,11 @@ def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> 
             raise DomainError(f"equalities need A of shape (k, 11) and b of shape (k,), "
                               f"not {a.shape} and {b.shape}")
         equalities = a, b
-    if not (_holds_at(equalities, _C6) and _holds_at(equalities, _C11)):
+    c6, c11, witness = _ic_points()
+    if not (_holds_at(equalities, c6) and _holds_at(equalities, c11)):
         raise DomainError("the IC maximum is certified only for equalities "
                           "that hold at c6 = 1 and at c11 = 1")
-    x = _IC_WITNESS.copy()
+    x = witness.copy()
     slacks = tuple(1.0 - lhs for lhs in ic_cabello_lhs(x))
     return SearchResult(value=success_closed_form(x), point=x, starts_used=1,
                         converged=True, constraint_slacks=slacks,

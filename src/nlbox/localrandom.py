@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .boxes import Box, DEFAULT_TOL, marginal
+from .boxes import Box, DEFAULT_TOL, _LazyNumpy, marginal
 # bound only so that perfbench/tracing.py can patch nlbox.localrandom.cabello_box
 from .cabello import cabello_box
 from .ic import ic_cabello_lhs, max_success_under_ic
+
+np = _LazyNumpy(globals())
 
 LR_INPUTS = ("0_A", "1_A", "0_B", "1_B")
 _PARTY_INPUT = {inp: (inp[-1], int(inp[0])) for inp in LR_INPUTS}  # "1_B" -> ("B", 1)

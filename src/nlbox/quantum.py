@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .boxes import Box, MalformedBoxError, _table_box, _correlator_cells
+from .boxes import Box, MalformedBoxError, _LazyNumpy, _table_box, _correlator_cells
 from .localrandom import _check_case, case_inputs
 # maximize is bound only so that perfbench/tracing.py can patch
 # nlbox.quantum.maximize
 from .search import SearchResult, maximize
+
+np = _LazyNumpy(globals())
 
 HALF_PI = math.pi / 2
 

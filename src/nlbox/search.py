@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
+from .boxes import _LazyNumpy
+
+np = _LazyNumpy(globals())
 
 # points per axis of each zoom window, which spans 4 cells of the grid before
 _ZOOM_POINTS = 9

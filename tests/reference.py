@@ -1,7 +1,7 @@
 """Hand derivations that the tests compare nlbox against.
 
 nlbox reads every linear form in the weights c1..c11 off its vertex stack
-(a Cabello table is c @ _VERTEX_STACK).  The forms here were written out by
+(a Cabello table is c @ _vertex_stack()).  The forms here were written out by
 hand from the vertex tables instead, so the tests compare two independent
 derivations of the same forms.  The rest are independent references too:
 row_stats, the batched matmul by the table's linear map, for the float row
@@ -119,6 +119,13 @@ def row_stats(p) -> np.ndarray:
     """Per input row XY of tables p (..., 4, 4): the row total, P(a=0|XY),
     P(b=0|XY) and P(a=b|XY), in a last axis of length 4."""
     return np.asarray(p, dtype=float) @ _ROW_MAP  # symmetric: equal to _ROW_MAP.T
+
+
+def marginals(stats) -> np.ndarray:
+    """P(outcome 0) from the row stats of one table, indexed [party A/B, input,
+    remote input]: the array form of the marginal pairs that Box gathers."""
+    grid = np.asarray(stats).reshape(2, 2, 4)  # [X, Y, stat], as row XY = 2X + Y
+    return np.array([grid[..., 1], grid[..., 2].T])
 
 
 def all_local_vertices() -> list[Box]:

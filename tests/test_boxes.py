@@ -280,7 +280,7 @@ class TestConstructionTimeFloats:
                 stats = reference.row_stats(p)
             assert np.array(box._stats).tobytes() == stats.tobytes()
             pairs = np.array(box._pairs).reshape(2, 2, 2).transpose(1, 0, 2)
-            assert pairs.tobytes() == boxes._marginals(stats).tobytes()
+            assert pairs.tobytes() == reference.marginals(stats).tobytes()
 
     def test_box_copies_the_callers_table(self):
         p = np.full((4, 4), 0.25)
@@ -290,13 +290,13 @@ class TestConstructionTimeFloats:
         assert box.p[0, 0] == box.prob(0, 0, 0, 0) == 0.25
 
     def test_mixtures_own_their_read_only_table(self):
-        from nlbox.cabello import _VERTEX_STACK, cabello_box, hardy_box
+        from nlbox.cabello import _vertex_stack, cabello_box, hardy_box
 
         rng = np.random.default_rng(3)
         c, h, w = rng.dirichlet(np.ones(11)), rng.dirichlet(np.ones(6)), np.array([0.3, 0.7])
         tables = np.array([pr_box().p, uniform_box().p]).reshape(2, 16)
-        for box, want in ((cabello_box(c), c @ _VERTEX_STACK),
-                          (hardy_box(h), h @ _VERTEX_STACK[:6]),
+        for box, want in ((cabello_box(c), c @ _vertex_stack()),
+                          (hardy_box(h), h @ _vertex_stack()[:6]),
                           (mix([pr_box(), uniform_box()], w), w @ tables)):
             assert box.p.base is None and not box.p.flags.writeable  # no writable alias
             assert box.p.tobytes() == want.tobytes()  # the matmul's bits

@@ -191,12 +191,18 @@ class TestNsMax:
     def test_hardy(self):
         value, witness = ns_max_success("hardy")
         assert value == 0.5
-        assert witness[5] == 1.0 and witness.sum() == 1.0
+        assert witness[5] == 1.0 and sum(witness) == 1.0
 
     def test_cabello(self):
         value, witness = ns_max_success("cabello")
         assert value == 0.5
-        assert witness[5] == 1.0 and witness.sum() == 1.0
+        assert witness[5] == 1.0 and sum(witness) == 1.0
+
+    def test_witness_is_a_tuple_of_floats(self):
+        for argument, dim in (("hardy", 6), ("cabello", 11)):
+            value, witness = ns_max_success(argument)
+            assert type(value) is float and type(witness) is tuple and len(witness) == dim
+            assert all(type(w) is float for w in witness)
 
     def test_local_only_restriction_is_zero(self):
         # forbid both nonlocal vertices: no local mixture beats q4 = q1

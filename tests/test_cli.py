@@ -415,3 +415,34 @@ class TestScipyFreeRuntime:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"{[0] * 13} ['scipy']"
+
+
+class TestNumpyFreeStart:
+    def test_import_and_ns_bound_run_without_numpy(self):
+        # in a fresh process where any numpy import fails, a bare import loads
+        # no submodule, the NS solves load only boxes, cabello and search, and
+        # max --model ns prints its usual JSON
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            sys.modules["numpy"] = None
+            loaded = lambda: sorted(m for m in sys.modules if m.startswith("nlbox."))
+            import nlbox
+            bare = loaded()
+            solves = [nlbox.ns_max_success("hardy"), nlbox.ns_max_success("cabello")]
+            ns = loaded()
+            import nlbox.cli
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = nlbox.cli.main(["max", "--model", "ns"])
+            print(json.dumps([bare, solves, ns, code, out.getvalue()]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        bare, solves, ns, exit_code, stdout = json.loads(proc.stdout)
+        assert bare == []
+        vertex = lambda dim: [float(k == 5) for k in range(dim)]
+        assert solves == [[0.5, vertex(6)], [0.5, vertex(11)]]
+        assert ns == ["nlbox.boxes", "nlbox.cabello", "nlbox.search"]
+        assert exit_code == 0
+        assert json.loads(stdout) == {"model": "ns", "method": "vertex", "value": 0.5,
+                                      "witness": vertex(11)}

@@ -10,9 +10,9 @@ from fresh_imports import solve_imports
 import reference
 from reference import coeffs
 from nlbox import boxes
-from nlbox.cabello import _SUCCESS, SuccessMetrics, cabello_box, extract_q
+from nlbox.cabello import _success, SuccessMetrics, cabello_box, extract_q
 from nlbox.ic import (
-    _BIASES,
+    _biases,
     _IC_BOUND,
     ICCheck,
     ICQuantities,
@@ -78,8 +78,8 @@ class TestCoefficientLevel:
 
     def test_vertex_stack_rows_are_the_hand_rows(self):
         eye = np.eye(11)
-        np.testing.assert_array_equal(_SUCCESS, [reference.success(e) for e in eye])
-        np.testing.assert_array_equal(_BIASES, np.array([reference.biases(e) for e in eye]).T)
+        np.testing.assert_array_equal(_success(), [reference.success(e) for e in eye])
+        np.testing.assert_array_equal(_biases(), np.array([reference.biases(e) for e in eye]).T)
 
     def test_rsuv_examples(self):
         assert reference.rsuv(coeffs(c5=0.1, c10=0.1, c11=0.8)) == (0.0, 0.0, 0.0, 0.2)
@@ -88,7 +88,7 @@ class TestCoefficientLevel:
                                    (0.0, 0.2, 0.4, 0.6), rtol=0, atol=1e-15)
         for c in (coeffs(c5=0.1, c10=0.1, c11=0.8), coeffs(c11=1),
                   coeffs(c5=0.4, c6=0.2, c9=0.4)):
-            np.testing.assert_allclose(_BIASES @ c, reference.biases(c), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_biases() @ c, reference.biases(c), rtol=0, atol=1e-15)
 
     def test_lhs_spot_values(self):
         lhs = ic_cabello_lhs(coeffs(c5=0.1, c10=0.1, c11=0.8))
@@ -260,13 +260,13 @@ class TestCertificate:
         return sp.Matrix([[sp.Rational(float(v)) for v in row] for row in array])
 
     def test_success_is_affine_in_the_bias_sum(self):
-        success, biases = self.exact(_SUCCESS[None, :]), self.exact(_BIASES)
+        success, biases = self.exact(_success()[None, :]), self.exact(_biases())
         residuals = [success[k] + sp.Rational(1, 2) + sp.Rational(1, 4) * sum(biases[:, k])
                      for k in range(11)]
         assert residuals == [0] * 11
 
     def test_dual_certificate(self):
-        success, biases = self.exact(_SUCCESS[None, :]), self.exact(_BIASES)
+        success, biases = self.exact(_success()[None, :]), self.exact(_biases())
         r2 = sp.sqrt(2)
         mu, lam = sp.Rational(-1, 2), [r2 / 4, r2 / 4]
         u = [sp.Matrix([-1, -1]) / r2] * 2

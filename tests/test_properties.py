@@ -76,7 +76,7 @@ def test_box_floats_match_the_array_formulas(p):
     assert box.check_magnitudes.tobytes() == magnitudes.tobytes()
     assert box.worst_check == magnitudes.max()  # a zero max may differ in sign
     pairs = np.array(box._pairs).reshape(2, 2, 2).transpose(1, 0, 2)  # [party, input, remote]
-    assert pairs.tobytes() == boxes._marginals(reference.row_stats(p)).tobytes()
+    assert pairs.tobytes() == reference.marginals(reference.row_stats(p)).tobytes()
     cells = [[box.prob(a, b, x, y) for a in (0, 1) for b in (0, 1)] for x in (0, 1) for y in (0, 1)]
     assert np.array(cells).tobytes() == box.p.tobytes()
     agree = reference.row_stats(p)[:, 3]  # P(a=b|XY)
