@@ -130,22 +130,17 @@ def ic_cabello_lhs(c: Sequence[float], tol: float = DEFAULT_TOL) -> tuple[float,
 
 
 @functools.cache
-def _ic_points() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertices c6 = 1 and c11 = 1 and the maximizer c6 = 1/sqrt(2),
-    c11 = 1 - 1/sqrt(2) between them, read-only and built on first use;
-    built this way both of the maximizer's slacks round to +2.2e-16, not below 0."""
+def _ic_witness() -> tuple[np.ndarray, float, tuple[float, float]]:
+    """The maximizer c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2), read-only, with its
+    success and its two IC slacks, built on first use; built between the
+    vertices c6 = 1 and c11 = 1 this way both slacks round to +2.2e-16, not below 0."""
     c6, c11 = np.eye(11)[[5, 10]]
-    points = c6, c11, c11 + (c6 - c11) / math.sqrt(2.0)
-    for point in points:
-        point.setflags(write=False)
-    return points
+    point = c11 + (c6 - c11) / math.sqrt(2.0)
+    point.setflags(write=False)
+    return point, success_closed_form(point), tuple(1.0 - lhs for lhs in ic_cabello_lhs(point))
 
 
 _IC_BOUND = (math.sqrt(2.0) - 1.0) / 2.0
-
-
-def _holds_at(equalities, c: np.ndarray) -> bool:
-    return equalities is None or bool(np.all(np.abs(equalities[0] @ c - equalities[1]) <= 1e-12))
 
 
 def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> SearchResult:
@@ -172,14 +167,13 @@ def max_success_under_ic(restarts: int = 64, seed: int = 0, equalities=None) -> 
         if a.ndim != 2 or a.shape[1] != 11 or b.shape != a.shape[:1]:
             raise DomainError(f"equalities need A of shape (k, 11) and b of shape (k,), "
                               f"not {a.shape} and {b.shape}")
-        equalities = a, b
-    c6, c11, witness = _ic_points()
-    if not (_holds_at(equalities, c6) and _holds_at(equalities, c11)):
-        raise DomainError("the IC maximum is certified only for equalities "
-                          "that hold at c6 = 1 and at c11 = 1")
-    x = witness.copy()
-    slacks = tuple(1.0 - lhs for lhs in ic_cabello_lhs(x))
-    return SearchResult(value=success_closed_form(x), point=x, starts_used=1,
+        # A @ c at c6 = 1 and at c11 = 1 is column 6 and column 11 of A, a[:, 5::5];
+        # a non-finite A, whose products with those points are not finite, holds at neither
+        if not (np.isfinite(a).all() and (np.abs(a[:, 5::5] - b[:, None]) <= 1e-12).all()):
+            raise DomainError("the IC maximum is certified only for equalities "
+                              "that hold at c6 = 1 and at c11 = 1")
+    point, value, slacks = _ic_witness()
+    return SearchResult(value=value, point=point.copy(), starts_used=1,
                         converged=True, constraint_slacks=slacks,
                         upper_bound=_IC_BOUND, method="closed-form", evaluations=0)
 

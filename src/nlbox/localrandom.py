@@ -7,9 +7,12 @@ c1..c11, written below with the shorthand eta = (1 - c6 - c11)/2.  The
 15 cases enumerate the nonempty input subsets: all four, the four
 triples, the six pairs, then the four singletons.
 
-Each case's system and the Table 2 fixture rows are constants of the
-paper: each is built on first use, once per process, and shared with
-read-only arrays.
+Each case's system, the stack of all 15 systems, each case's feasibility
+witness and the Table 2 fixture rows are constants of the paper: each is
+built on first use, once per process, and shared with read-only arrays
+(a witness is handed out as a fresh copy).  ``verify_table2`` evaluates
+the constraint residuals of all its rows in one batched product against
+the stack.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .boxes import Box, DEFAULT_TOL, _LazyNumpy, marginal
+from .boxes import Box, DEFAULT_TOL, _LazyNumpy, _check_tol, marginal
 # bound only so that perfbench/tracing.py can patch nlbox.localrandom.cabello_box
 from .cabello import cabello_box
 from .ic import ic_cabello_lhs, max_success_under_ic
@@ -110,6 +113,7 @@ class ConstraintSystem:
     b: np.ndarray
 
     def satisfied_by(self, c: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
+        _check_tol(tol)
         c = np.asarray(c, dtype=float)
         return bool(np.max(np.abs(self.a @ c - self.b)) <= tol)
 
@@ -156,6 +160,18 @@ def lr_constraints(case_id: int) -> ConstraintSystem:
     return _system(_check_case(case_id))
 
 
+@functools.cache
+def _system_stack() -> tuple[np.ndarray, np.ndarray]:
+    """The A and b of cases 1..15 stacked, read-only, each zero-padded to the
+    longest system's 8 rows: a padding row holds at every point."""
+    systems = [_system(cid) for cid in lr_cases()]
+    k = max(len(s.b) for s in systems)
+    a, b = np.zeros((len(systems), k, 11)), np.zeros((len(systems), k))
+    for i, s in enumerate(systems):
+        a[i, :len(s.b)], b[i, :len(s.b)] = s.a, s.b
+    return _read_only(a), _read_only(b)
+
+
 def is_locally_random(box: Box, inp: str, tol: float = DEFAULT_TOL) -> bool:
     """True iff the input's outcome marginal is 1/2 for either remote input."""
     try:
@@ -170,10 +186,16 @@ def feasibility_witness(case_id: int) -> np.ndarray:
 
     It is the certified IC maximizer c6 = 1/sqrt(2), c11 = 1 - 1/sqrt(2) of
     ``max_success_under_ic``, which solves every case's system exactly and
-    leaves both IC slacks at +2.2e-16; each call returns a fresh array.
+    leaves both IC slacks at +2.2e-16; it is certified once per case and
+    process, and each call returns a fresh copy.
     """
-    system = lr_constraints(case_id)
-    return max_success_under_ic(equalities=(system.a, system.b)).point
+    return _witness(_check_case(case_id)).copy()
+
+
+@functools.cache
+def _witness(case_id: int) -> np.ndarray:
+    system = _system(case_id)
+    return _read_only(max_success_under_ic(equalities=(system.a, system.b)).point)
 
 
 @dataclass(frozen=True)
@@ -184,13 +206,18 @@ class Table2Row:
     lhs2: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Table2Check:
     row: Table2Row
     recomputed: tuple[float, float]
     lhs_match: bool
     constraints_ok: bool
     ic_ok: bool
+
+    def __init__(self, row: Table2Row, recomputed: tuple[float, float], lhs_match: bool,
+                 constraints_ok: bool, ic_ok: bool):
+        self.__dict__.update(row=row, recomputed=recomputed, lhs_match=lhs_match,
+                             constraints_ok=constraints_ok, ic_ok=ic_ok)
 
 
 def load_table2_fixture() -> list[Table2Row]:
@@ -215,20 +242,26 @@ def _fixture_rows() -> tuple[Table2Row, ...]:
 def verify_table2(
     rows: Optional[Sequence[Table2Row]] = None, tol: float = 5e-5
 ) -> list[Table2Check]:
-    """Recompute every fixture row; mismatches are reported, not raised."""
-    if rows is None:
-        rows = load_table2_fixture()
-    out = []
+    """Recompute every fixture row; mismatches are reported, not raised.
+
+    The left-hand sides are ``ic_cabello_lhs`` of each row, and
+    ``constraints_ok`` is the row case's ``satisfied_by`` at its default
+    tolerance, with the residuals of all rows in one batched product.  A
+    row off the simplex or with an unknown case raises, the first such row's
+    error first.
+    """
+    _check_tol(tol)
+    rows = _fixture_rows() if rows is None else tuple(rows)
+    if not rows:
+        return []
+    lhs, cases = [], []
     for row in rows:
-        lhs = ic_cabello_lhs(row.c)
-        system = lr_constraints(row.case_id)
-        out.append(
-            Table2Check(
-                row=row,
-                recomputed=lhs,
-                lhs_match=abs(lhs[0] - row.lhs1) <= tol and abs(lhs[1] - row.lhs2) <= tol,
-                constraints_ok=system.satisfied_by(row.c),
-                ic_ok=lhs[0] <= 1.0 + tol and lhs[1] <= 1.0 + tol,
-            )
-        )
-    return out
+        lhs.append(ic_cabello_lhs(row.c))
+        cases.append(_check_case(row.case_id) - 1)
+    a, b = _system_stack()
+    c = np.array([row.c for row in rows], dtype=float)
+    residuals = np.matmul(a[cases], c[:, :, None])[:, :, 0] - b[cases]
+    ok = (np.abs(residuals).max(axis=1) <= DEFAULT_TOL).tolist()
+    return [Table2Check(row, (l1, l2), abs(l1 - row.lhs1) <= tol and abs(l2 - row.lhs2) <= tol,
+                        row_ok, l1 <= 1.0 + tol and l2 <= 1.0 + tol)
+            for row, (l1, l2), row_ok in zip(rows, lhs, ok)]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nlbox.cli
+import nlbox.ic
 import nlbox.localrandom
 from cli_harness import run_cli
 from nlbox.boxes import Box, pr_box
@@ -282,6 +283,24 @@ class TestTables:
         case = verify()[3].row.case_id
         assert proc.stderr == f"case {case}: fixture row is off its system\n"
         assert f"{case}," in proc.stdout and ",True,False" in proc.stdout
+
+    def test_table2_json_equals_the_per_row_primitives(self):
+        # the batched verify_table2 prints exactly what one ic_cabello_lhs
+        # and one satisfied_by per row give
+        lr = nlbox.localrandom
+        rows = []
+        for row in lr.load_table2_fixture():
+            lhs1, lhs2 = nlbox.ic.ic_cabello_lhs(row.c)
+            rows.append({
+                "case": row.case_id, "c": row.c.tolist(), "lhs1": lhs1, "lhs2": lhs2,
+                "lhs_match": abs(lhs1 - row.lhs1) <= 5e-5 and abs(lhs2 - row.lhs2) <= 5e-5,
+                "constraints_ok": lr.lr_constraints(row.case_id).satisfied_by(row.c),
+            })
+        witnesses = {str(cid): lr.feasibility_witness(cid).tolist() for cid in lr.lr_cases()}
+        expected = json.dumps({"rows": rows, "fresh_witnesses": witnesses}) + "\n"
+        for argv in (["table2"], ["table2", "--seed", "5"]):
+            proc = run_cli(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
     def test_table3_case_12(self):
         proc = run_cli("table3", "--restarts", "16", "--format", "csv")

@@ -9,8 +9,8 @@ import sympy as sp
 from fresh_imports import solve_imports
 import reference
 from reference import coeffs
-from nlbox import boxes
-from nlbox.cabello import _success, SuccessMetrics, cabello_box, extract_q
+from nlbox import boxes, ic
+from nlbox.cabello import _success, SuccessMetrics, cabello_box, extract_q, success_closed_form
 from nlbox.ic import (
     _biases,
     _IC_BOUND,
@@ -249,6 +249,54 @@ class TestMaxUnderIC:
         first = max_success_under_ic()
         first.point[:] = 0.0
         assert max_success_under_ic().point[5] == 0.7071067811865475
+
+
+class TestOncePerProcessRecord:
+    """The maximizer, its success and its slacks are computed once per process;
+    the equality test reads columns 6 and 11 of A instead of two products."""
+
+    def test_record_equals_a_fresh_computation_bit_for_bit(self):
+        for equalities in [None] + [(s.a, s.b) for s in map(lr_constraints, lr_cases())]:
+            result = max_success_under_ic(equalities=equalities)
+            assert result.value.hex() == success_closed_form(result.point).hex()
+            fresh = tuple(1.0 - lhs for lhs in ic_cabello_lhs(result.point))
+            assert [x.hex() for x in result.constraint_slacks] == [x.hex() for x in fresh]
+            assert result.point.flags.writeable
+
+    def test_warm_maximizer_evaluates_nothing(self, monkeypatch):
+        warm = max_success_under_ic()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated again")
+
+        monkeypatch.setattr(ic, "success_closed_form", fail)
+        monkeypatch.setattr(ic, "ic_cabello_lhs", fail)
+        again = max_success_under_ic(equalities=(lr_constraints(9).a, lr_constraints(9).b))
+        assert again.point is not warm.point
+        assert dataclasses.replace(again, point=warm.point) == warm
+
+    @pytest.mark.parametrize("col", [5, 10])
+    def test_a_system_holding_at_one_vertex_only_raises(self, col):
+        # c6 = 1 holds at the vertex c6 = 1 and not at c11 = 1; c11 = 1 the reverse
+        a = np.eye(11)[col:col + 1]
+        with pytest.raises(DomainError, match="hold at c6 = 1 and at c11 = 1"):
+            max_success_under_ic(equalities=(a, np.ones(1)))
+
+    def test_the_column_test_keeps_its_tolerance(self):
+        a = np.zeros((1, 11))
+        a[0, 5] = a[0, 10] = 1.0
+        assert max_success_under_ic(equalities=(a, [1.0 + 5e-13])).method == "closed-form"
+        with pytest.raises(DomainError):
+            max_success_under_ic(equalities=(a, [1.0 + 2e-12]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_entry_holds_at_neither_vertex(self, value):
+        # columns 6 and 11 match b, but A @ c at either vertex is not finite
+        system = lr_constraints(12)
+        a = system.a.copy()
+        a[0, 0] = value
+        with pytest.raises(DomainError, match="hold at c6 = 1 and at c11 = 1"):
+            max_success_under_ic(equalities=(a, system.b))
 
 
 class TestCertificate:

@@ -6,11 +6,12 @@ import reference
 from reference import coeffs
 from cli_harness import run_cli
 from nlbox import boxes, localrandom
-from nlbox.boxes import marginal
+from nlbox.boxes import CoefficientError, marginal
 from nlbox.cabello import CABELLO_VERTICES, cabello_box
 from nlbox.ic import ic_cabello_lhs, max_success_under_ic
 from nlbox.localrandom import (
     LR_INPUTS,
+    Table2Row,
     case_inputs,
     feasibility_witness,
     is_locally_random,
@@ -297,3 +298,130 @@ class TestSharedConstants:
         monkeypatch.setattr(localrandom, "_relation_row", fail)
         assert run_all() == warm
         assert all(rc == 0 and err == "" for rc, _, err in warm)
+
+
+NON_TOLS = [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")]
+
+
+class TestTolValidation:
+    @pytest.mark.parametrize("tol", NON_TOLS)
+    def test_verify_table2_rejects_the_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite value >= 0"):
+            verify_table2(tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite value >= 0"):
+            verify_table2([], tol=tol)
+
+    @pytest.mark.parametrize("tol", NON_TOLS)
+    def test_satisfied_by_rejects_the_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite value >= 0"):
+            lr_constraints(9).satisfied_by(feasibility_witness(9), tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert lr_constraints(9).satisfied_by(feasibility_witness(9), tol=0.0)
+        assert len(verify_table2(tol=0.0)) == 45
+
+
+def table2_row(case_id, c):
+    lhs1, lhs2 = ic_cabello_lhs(c)
+    return Table2Row(case_id=case_id, c=c, lhs1=lhs1, lhs2=lhs2)
+
+
+class TestBatchedVerify:
+    """verify_table2 evaluates all residuals in one batch; every row must
+    read as the per-row primitives read it."""
+
+    @staticmethod
+    def sampled_rows():
+        # 14 points on each case's system, each also filed under the next
+        # case, where most of them are off the system
+        rng = np.random.default_rng(2027)
+        rows = []
+        for cid in lr_cases():
+            for _ in range(14):
+                c = reference.sample_case_point(cid, rng)
+                rows += [table2_row(cid, c), table2_row(cid % 15 + 1, c)]
+        return rows
+
+    def test_each_row_reads_as_its_primitives(self):
+        rows = load_table2_fixture() + self.sampled_rows()
+        assert len(rows) == 45 + 2 * 210
+        checks = verify_table2(rows)
+        assert [chk.row for chk in checks] == rows
+        for chk in checks:
+            lhs = ic_cabello_lhs(chk.row.c)
+            assert type(chk.recomputed) is tuple
+            assert [x.hex() for x in chk.recomputed] == [y.hex() for y in lhs]
+            assert chk.constraints_ok == lr_constraints(chk.row.case_id).satisfied_by(chk.row.c)
+        oks = [chk.constraints_ok for chk in checks]
+        assert all(oks[:45]) and all(oks[45::2])
+        assert sum(not ok for ok in oks[46::2]) >= 150
+
+    def test_off_system_rows_are_false(self):
+        # c1 = 1 breaks every case's system; so does a fixture row filed
+        # under a case whose system it misses
+        rows = [table2_row(cid, coeffs(c1=1.0)) for cid in lr_cases()]
+        rows += [table2_row(12, coeffs(c5=0.3, c8=0.4, c9=0.2, c10=0.1))]
+        for chk in verify_table2(rows):
+            assert not lr_constraints(chk.row.case_id).satisfied_by(chk.row.c)
+            assert chk.constraints_ok is False
+            assert chk.lhs_match and chk.ic_ok
+
+    def test_no_rows_give_no_checks(self):
+        assert verify_table2([]) == []
+        assert verify_table2(iter([])) == []
+
+    def test_rows_may_be_any_iterable(self):
+        rows = load_table2_fixture()
+        assert verify_table2(iter(rows)) == verify_table2(rows) == verify_table2()
+
+    def test_unknown_case_raises(self):
+        rows = load_table2_fixture()[:3] + [table2_row(99, coeffs(c11=1.0))]
+        with pytest.raises(ValueError, match="case id must be 1..15, got 99"):
+            verify_table2(rows)
+
+    def test_off_simplex_row_raises_as_ic_cabello_lhs(self):
+        bad = coeffs(c1=0.5, c2=0.6)
+        with pytest.raises(CoefficientError) as expected:
+            ic_cabello_lhs(bad)
+        rows = load_table2_fixture()[:3] + [Table2Row(4, bad, 0.0, 0.0)]
+        with pytest.raises(CoefficientError) as exc:
+            verify_table2(rows)
+        assert str(exc.value) == str(expected.value)
+
+    def test_first_failing_row_wins(self):
+        good = load_table2_fixture()[0]
+        off_simplex = Table2Row(4, coeffs(c1=0.5, c2=0.6), 0.0, 0.0)
+        unknown_case = table2_row(99, coeffs(c11=1.0))
+        with pytest.raises(CoefficientError):
+            verify_table2([good, off_simplex, unknown_case])
+        with pytest.raises(ValueError, match="case id must be 1..15"):
+            verify_table2([good, unknown_case, off_simplex])
+        # within one row, its left-hand sides are computed before its case is read
+        with pytest.raises(CoefficientError):
+            verify_table2([good, Table2Row(99, off_simplex.c, 0.0, 0.0)])
+
+
+class TestOncePerProcessWitness:
+    def test_system_stack_is_each_system_zero_padded(self):
+        a, b = localrandom._system_stack()
+        assert localrandom._system_stack() is localrandom._system_stack()
+        assert a.shape == (15, 8, 11) and b.shape == (15, 8)
+        assert_read_only(a, b)
+        for cid in lr_cases():
+            system = lr_constraints(cid)
+            k = len(system.b)
+            assert a[cid - 1, :k].tobytes() == system.a.tobytes(), cid
+            assert b[cid - 1, :k].tobytes() == system.b.tobytes(), cid
+            assert not a[cid - 1, k:].any() and not b[cid - 1, k:].any(), cid
+
+    def test_warm_witness_solves_nothing(self, monkeypatch):
+        warm = {cid: feasibility_witness(cid) for cid in lr_cases()}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved again")
+
+        monkeypatch.setattr(localrandom, "max_success_under_ic", fail)
+        for cid in lr_cases():
+            w = feasibility_witness(cid)
+            assert w is not warm[cid] and w.flags.writeable
+            assert w.tobytes() == warm[cid].tobytes()
